@@ -5,7 +5,7 @@
 //! right values both appear in the column; the minority side is
 //! corrected to the majority side through the mapping.
 
-use mapsynth_serve::MappingStore;
+use mapsynth_serve::IndexSnapshot;
 use mapsynth_text::normalize;
 
 /// One suggested correction.
@@ -22,10 +22,9 @@ pub struct Correction {
 /// Detect mixed representations in `column` and suggest corrections.
 ///
 /// Returns `None` when no indexed mapping exhibits a meaningful mix
-/// (at least `min_side` values on each side). Works against any
-/// [`MappingStore`] — the local `MappingIndex` or a served snapshot.
-pub fn autocorrect<S: MappingStore + ?Sized>(
-    store: &S,
+/// (at least `min_side` values on each side).
+pub fn autocorrect(
+    store: &IndexSnapshot,
     column: &[&str],
     min_side: usize,
 ) -> Option<Vec<Correction>> {
@@ -72,18 +71,20 @@ pub fn autocorrect<S: MappingStore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::MappingIndex;
+    use mapsynth_serve::SnapshotBuilder;
 
-    fn index() -> MappingIndex {
-        MappingIndex::from_named_raw(vec![(
-            "state->abbr".into(),
-            vec![
+    fn index() -> IndexSnapshot {
+        let mut b = SnapshotBuilder::new();
+        b.add_raw(
+            Some("state->abbr".into()),
+            &[
                 ("California".into(), "CA".into()),
                 ("Washington".into(), "WA".into()),
                 ("Oregon".into(), "OR".into()),
                 ("Texas".into(), "TX".into()),
             ],
-        )])
+        );
+        b.build()
     }
 
     #[test]

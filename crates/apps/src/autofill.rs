@@ -4,7 +4,7 @@
 //! target column; the system finds a mapping consistent with the
 //! examples and fills the rest.
 
-use mapsynth_serve::MappingStore;
+use mapsynth_serve::IndexSnapshot;
 use mapsynth_text::normalize;
 
 /// Result of an auto-fill request.
@@ -23,10 +23,9 @@ pub struct FillResult {
 /// A mapping qualifies when every given example agrees with it
 /// (`key → example` in its forward map) and it covers at least
 /// `min_examples` of the examples. Among qualifying mappings the one
-/// covering the most keys wins. Works against any [`MappingStore`] —
-/// the local `MappingIndex` or a served snapshot.
-pub fn autofill<S: MappingStore + ?Sized>(
-    store: &S,
+/// covering the most keys wins.
+pub fn autofill(
+    store: &IndexSnapshot,
     keys: &[&str],
     target: &[Option<&str>],
     min_examples: usize,
@@ -83,31 +82,31 @@ pub fn autofill<S: MappingStore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::MappingIndex;
+    use mapsynth_serve::SnapshotBuilder;
 
-    fn index() -> MappingIndex {
-        MappingIndex::from_named_raw(vec![
-            (
-                "city->state".into(),
-                vec![
-                    ("San Francisco".into(), "California".into()),
-                    ("Seattle".into(), "Washington".into()),
-                    ("Los Angeles".into(), "California".into()),
-                    ("Houston".into(), "Texas".into()),
-                    ("Denver".into(), "Colorado".into()),
-                ],
-            ),
-            (
-                "city->state-abbr".into(),
-                vec![
-                    ("San Francisco".into(), "CA".into()),
-                    ("Seattle".into(), "WA".into()),
-                    ("Los Angeles".into(), "CA".into()),
-                    ("Houston".into(), "TX".into()),
-                    ("Denver".into(), "CO".into()),
-                ],
-            ),
-        ])
+    fn index() -> IndexSnapshot {
+        let mut b = SnapshotBuilder::new();
+        b.add_raw(
+            Some("city->state".into()),
+            &[
+                ("San Francisco".into(), "California".into()),
+                ("Seattle".into(), "Washington".into()),
+                ("Los Angeles".into(), "California".into()),
+                ("Houston".into(), "Texas".into()),
+                ("Denver".into(), "Colorado".into()),
+            ],
+        );
+        b.add_raw(
+            Some("city->state-abbr".into()),
+            &[
+                ("San Francisco".into(), "CA".into()),
+                ("Seattle".into(), "WA".into()),
+                ("Los Angeles".into(), "CA".into()),
+                ("Houston".into(), "TX".into()),
+                ("Denver".into(), "CO".into()),
+            ],
+        );
+        b.build()
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! a bridge mapping in a three-way join, without the user supplying the
 //! correspondence.
 
-use mapsynth_serve::MappingStore;
+use mapsynth_serve::IndexSnapshot;
 use mapsynth_text::normalize;
 
 /// Result of an auto-join.
@@ -24,10 +24,9 @@ pub struct JoinResult {
 ///
 /// A bridge qualifies when at least `min_coverage` (fraction) of each
 /// side's keys appear on opposite sides of the mapping. Returns the
-/// join with the most matched rows. Works against any
-/// [`MappingStore`] — the local `MappingIndex` or a served snapshot.
-pub fn autojoin<S: MappingStore + ?Sized>(
-    store: &S,
+/// join with the most matched rows.
+pub fn autojoin(
+    store: &IndexSnapshot,
     left_keys: &[&str],
     right_keys: &[&str],
     min_coverage: f64,
@@ -106,19 +105,21 @@ pub fn autojoin<S: MappingStore + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::MappingIndex;
+    use mapsynth_serve::SnapshotBuilder;
 
-    fn index() -> MappingIndex {
-        MappingIndex::from_named_raw(vec![(
-            "ticker->company".into(),
-            vec![
+    fn index() -> IndexSnapshot {
+        let mut b = SnapshotBuilder::new();
+        b.add_raw(
+            Some("ticker->company".into()),
+            &[
                 ("GE".into(), "General Electric".into()),
                 ("WMT".into(), "Walmart".into()),
                 ("MSFT".into(), "Microsoft Corp.".into()),
                 ("ORCL".into(), "Oracle".into()),
                 ("UPS".into(), "AT&T Inc.".into()),
             ],
-        )])
+        );
+        b.build()
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!                translations).
 //! ```
 
-use mapsynth::pipeline::{Pipeline, PipelineConfig};
+use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
 use mapsynth_corpus::load_csv_dir;
 use mapsynth_serve::{MappingService, SnapshotBuilder};
 use std::io::Write;
@@ -105,11 +105,11 @@ fn main() {
         corpus.domain_names.len()
     );
 
-    let pipeline = Pipeline::new(PipelineConfig {
+    let output = SynthesisSession::new(PipelineConfig {
         workers,
         ..Default::default()
-    });
-    let output = pipeline.run(&corpus);
+    })
+    .run(&corpus);
     eprintln!(
         "{} candidates -> {} edges ({} negative) -> {} mappings in {:.2?}",
         output.candidates,

@@ -1,8 +1,7 @@
-//! The application algorithms running against the concurrent serving
-//! layer instead of the build-once `MappingIndex` — the serving handle
-//! is the only thing that changes; results must match.
+//! The application algorithms reading the snapshot handle a live
+//! `MappingService` serves, across publish and rollback.
 
-use mapsynth_apps::{autocorrect, autofill, autojoin, MappingIndex};
+use mapsynth_apps::{autocorrect, autofill, autojoin};
 use mapsynth_serve::{MappingService, SnapshotBuilder};
 use std::sync::Arc;
 
@@ -49,7 +48,7 @@ fn autocorrect_from_served_snapshot() {
     let svc = service();
     let snap = svc.snapshot();
     let column = ["California", "Washington", "Oregon", "CA"];
-    let fixes = autocorrect(&*snap, &column, 1).expect("mix detected");
+    let fixes = autocorrect(&snap, &column, 1).expect("mix detected");
     assert_eq!(fixes.len(), 1);
     assert_eq!(fixes[0].from, "CA");
     assert_eq!(fixes[0].to, "california");
@@ -61,7 +60,7 @@ fn autofill_from_served_snapshot() {
     let snap = svc.snapshot();
     let keys = ["San Francisco", "Seattle", "Houston"];
     let target = [Some("California"), None, None];
-    let fill = autofill(&*snap, &keys, &target, 1).expect("mapping found");
+    let fill = autofill(&snap, &keys, &target, 1).expect("mapping found");
     assert_eq!(fill.mapping, 1);
     let values: Vec<&str> = fill.filled.iter().map(|(_, v)| v.as_str()).collect();
     assert_eq!(values, vec!["washington", "texas"]);
@@ -73,31 +72,11 @@ fn autojoin_from_served_snapshot() {
     let snap = svc.snapshot();
     let left = ["GE", "WMT", "MSFT"];
     let right = ["Walmart", "General Electric", "Microsoft Corp."];
-    let join = autojoin(&*snap, &left, &right, 0.5).expect("bridge found");
+    let join = autojoin(&snap, &left, &right, 0.5).expect("bridge found");
     assert_eq!(join.mapping, 2);
     assert!(join.left_keys_on_left);
     assert_eq!(join.rows.len(), 3);
     assert!(join.rows.contains(&(0, 1)));
-}
-
-#[test]
-fn served_results_match_local_index() {
-    // Same data behind both store implementations → same corrections.
-    let raw = vec![(
-        "state->abbr".to_string(),
-        pairs(&[("California", "CA"), ("Washington", "WA"), ("Oregon", "OR")]),
-    )];
-    let index = MappingIndex::from_named_raw(raw.clone());
-    let mut b = SnapshotBuilder::new();
-    for (name, ps) in &raw {
-        b.add_raw(Some(name.clone()), ps);
-    }
-    let snap = b.build();
-    let column = ["California", "WA", "Oregon", "OR"];
-    assert_eq!(
-        autocorrect(&index, &column, 1),
-        autocorrect(&snap, &column, 1)
-    );
 }
 
 #[test]

@@ -4,14 +4,14 @@
 //! reasoning.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mapsynth::pipeline::{Pipeline, PipelineConfig};
-use mapsynth_apps::MappingIndex;
+use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
 use mapsynth_bench::bench_corpus;
+use mapsynth_serve::SnapshotBuilder;
 
 fn lookup(c: &mut Criterion) {
     let wc = bench_corpus(400);
-    let out = Pipeline::new(PipelineConfig::default()).run(&wc.corpus);
-    let index = MappingIndex::build(&out.mappings);
+    let out = SynthesisSession::new(PipelineConfig::default()).run(&wc.corpus);
+    let index = SnapshotBuilder::from_synthesized(&out.mappings).build();
 
     let present: Vec<&str> = vec!["united states", "canada", "japan", "germany", "france"];
     let absent: Vec<&str> = vec!["zzz-1", "zzz-2", "zzz-3", "zzz-4", "zzz-5"];
@@ -23,10 +23,9 @@ fn lookup(c: &mut Criterion) {
     g.bench_function("rank_by_containment_absent", |b| {
         b.iter(|| index.rank_by_containment(&absent))
     });
-    let handle = &index.mappings[0];
     let values: Vec<String> = present.iter().map(|s| s.to_string()).collect();
     g.bench_function("coverage_bloom_prefilter", |b| {
-        b.iter(|| handle.coverage(&values))
+        b.iter(|| index.coverage(0, &values))
     });
     g.finish();
 }

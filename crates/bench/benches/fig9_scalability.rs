@@ -2,7 +2,7 @@
 //! The paper reports near-linear scaling thanks to edge sparsity.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mapsynth::pipeline::{Pipeline, PipelineConfig};
+use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
 use mapsynth_bench::bench_corpus;
 use mapsynth_eval::experiments::scalability::subsample;
 
@@ -15,8 +15,7 @@ fn fig9(c: &mut Criterion) {
         let sub = subsample(&wc.corpus, k);
         g.throughput(Throughput::Elements(k as u64));
         g.bench_with_input(BenchmarkId::new("input_pct", pct), &sub, |b, sub| {
-            let pipeline = Pipeline::new(PipelineConfig::default());
-            b.iter(|| pipeline.run(sub))
+            b.iter(|| SynthesisSession::new(PipelineConfig::default()).run(sub))
         });
     }
     g.finish();

@@ -51,15 +51,16 @@ const HUB_SAMPLE: usize = 12;
 /// value-pair keys, or (when negative evidence is enabled) ≥
 /// `θ_overlap` left-value keys.
 ///
-/// Thin wrapper over [`BlockingIndex::build`] that discards the
-/// reusable index state.
+/// Thin wrapper over [`BlockingIndex::build_sharded`] (one shard per
+/// worker, nothing spilled) that discards the reusable index state.
 pub fn candidate_pairs(
     space: &ValueSpace,
     tables: &[NormBinary],
     cfg: &SynthesisConfig,
     mr: &MapReduce,
 ) -> (Vec<(u32, u32)>, BlockingStats) {
-    let (_, pairs, stats) = BlockingIndex::build(space, tables, cfg, mr);
+    let (_, pairs, stats) =
+        BlockingIndex::build_sharded(space, tables, cfg, mr, mr.workers(), None);
     (pairs, stats)
 }
 
@@ -180,26 +181,11 @@ pub struct BlockingIndex {
 }
 
 impl BlockingIndex {
-    /// Build the blocking index, qualifying pairs, and stats. Since
-    /// PR 6 this delegates to [`build_sharded`](Self::build_sharded)
-    /// with one shard per worker; the original two-job Map-Reduce
-    /// formulation survives as
-    /// [`build_unsharded`](Self::build_unsharded), the oracle both
-    /// paths are tested against. Results are identical for any worker
-    /// or shard count.
-    pub fn build(
-        space: &ValueSpace,
-        tables: &[NormBinary],
-        cfg: &SynthesisConfig,
-        mr: &MapReduce,
-    ) -> (Self, Vec<(u32, u32)>, BlockingStats) {
-        Self::build_sharded(space, tables, cfg, mr, mr.workers())
-    }
-
-    /// Sharded build: partition blocking keys by hash (the same FNV-1a
-    /// partitioner the shuffle uses) into `shards` independent groups,
-    /// build each shard's posting lists and pair contributions in
-    /// parallel, then stitch.
+    /// Build the blocking index, qualifying pairs, and stats:
+    /// partition blocking keys by hash (the same FNV-1a partitioner the
+    /// shuffle uses) into `shards` independent groups, build each
+    /// shard's posting lists and pair contributions in parallel, then
+    /// stitch.
     ///
     /// Stitching is trivial because the decomposition is exact: every
     /// key lives in exactly one shard, so per-shard posting maps are
@@ -207,26 +193,16 @@ impl BlockingIndex {
     /// keys in different shards, so pair counts sum. Bucketing scans
     /// tables in ascending index order, which keeps every posting list
     /// ti-ascending by plain push. The stored maps therefore hold
-    /// exactly the content the unsharded reference produces, for any
+    /// exactly the content the unsharded reference
+    /// ([`build_unsharded`](Self::build_unsharded)) produces, for any
     /// shard or worker count.
+    ///
+    /// When `spill` names a directory, each shard streams its posting
+    /// lists and pair counts through the binary spill format and drops
+    /// them before the stitch re-reads shards one at a time, bounding
+    /// residency by the largest shard. Spill files are deleted as they
+    /// are consumed; output is bit-identical to the in-memory build.
     pub fn build_sharded(
-        space: &ValueSpace,
-        tables: &[NormBinary],
-        cfg: &SynthesisConfig,
-        mr: &MapReduce,
-        shards: usize,
-    ) -> (Self, Vec<(u32, u32)>, BlockingStats) {
-        Self::build_spillable(space, tables, cfg, mr, shards, None)
-    }
-
-    /// [`build_sharded`](Self::build_sharded) with optional shard
-    /// spilling: when `spill` names a directory, each shard streams its
-    /// posting lists and pair counts through the binary spill format
-    /// and drops them before the stitch re-reads shards one at a time,
-    /// bounding residency by the largest shard. Spill files are deleted
-    /// as they are consumed; output is bit-identical to the in-memory
-    /// build.
-    pub fn build_spillable(
         space: &ValueSpace,
         tables: &[NormBinary],
         cfg: &SynthesisConfig,
@@ -332,7 +308,7 @@ impl BlockingIndex {
             pair_counts,
             sizes,
         };
-        let (pairs, stats) = index.qualifying_pairs(cfg);
+        let (pairs, stats) = index.pairs(cfg);
         (index, pairs, stats)
     }
 
@@ -388,7 +364,7 @@ impl BlockingIndex {
             pair_counts: counted.into_iter().collect(),
             sizes,
         };
-        let (pairs, stats) = index.qualifying_pairs(cfg);
+        let (pairs, stats) = index.pairs(cfg);
         (index, pairs, stats)
     }
 
@@ -397,7 +373,7 @@ impl BlockingIndex {
     /// be present — their keys are needed to unregister them; added
     /// indices must be larger than any live index). Returns the
     /// post-delta qualifying pairs and stats, identical to a fresh
-    /// [`build`](Self::build) over the live tables.
+    /// [`build_sharded`](Self::build_sharded) over the live tables.
     pub fn apply_delta(
         &mut self,
         space: &ValueSpace,
@@ -408,7 +384,7 @@ impl BlockingIndex {
     ) -> (Vec<(u32, u32)>, BlockingStats) {
         self.remove_tables(space, tables, removed, cfg);
         self.add_tables(space, tables, added, cfg);
-        self.qualifying_pairs(cfg)
+        self.pairs(cfg)
     }
 
     /// Adjust pair counts for a set of touched keys around `mutate`:
@@ -564,11 +540,6 @@ impl BlockingIndex {
     /// renumber path can re-derive after composing
     /// `remove_tables`/`remap`/`add_tables` manually.
     pub fn pairs(&self, cfg: &SynthesisConfig) -> (Vec<(u32, u32)>, BlockingStats) {
-        self.qualifying_pairs(cfg)
-    }
-
-    /// The θ-filtered pair set + stats from the maintained state.
-    fn qualifying_pairs(&self, cfg: &SynthesisConfig) -> (Vec<(u32, u32)>, BlockingStats) {
         let mut stats = BlockingStats::default();
         stats.pos_keys = self
             .postings
@@ -723,7 +694,7 @@ mod tests {
                 BlockingIndex::build_unsharded(&space, &t, &cfg, &mr);
             for shards in [1usize, 2, 8] {
                 let (index, pairs, stats) =
-                    BlockingIndex::build_sharded(&space, &t, &cfg, &mr, shards);
+                    BlockingIndex::build_sharded(&space, &t, &cfg, &mr, shards, None);
                 assert_eq!(pairs, ref_pairs, "workers {workers} shards {shards}");
                 assert_eq!(stats.pairs, ref_stats.pairs);
                 assert_eq!(stats.pos_keys, ref_stats.pos_keys);
@@ -759,9 +730,9 @@ mod tests {
         ));
         for shards in [1usize, 2, 8] {
             let (ref_index, ref_pairs, ref_stats) =
-                BlockingIndex::build_sharded(&space, &t, &cfg, &mr, shards);
+                BlockingIndex::build_sharded(&space, &t, &cfg, &mr, shards, None);
             let (index, pairs, stats) =
-                BlockingIndex::build_spillable(&space, &t, &cfg, &mr, shards, Some(&dir));
+                BlockingIndex::build_sharded(&space, &t, &cfg, &mr, shards, Some(&dir));
             assert_eq!(pairs, ref_pairs, "shards {shards}");
             assert_eq!(stats.pairs, ref_stats.pairs);
             assert_eq!(stats.capped_keys, ref_stats.capped_keys);
@@ -792,7 +763,7 @@ mod tests {
         let (fresh, fresh_pairs, _) = BlockingIndex::build_unsharded(&space, &t, &cfg, &mr);
         for shards in [1usize, 2, 8] {
             let (mut index, _, _) =
-                BlockingIndex::build_sharded(&space, &t[..3], &cfg, &mr, shards);
+                BlockingIndex::build_sharded(&space, &t[..3], &cfg, &mr, shards, None);
             index.sizes.resize(t.len(), 0);
             let (pairs, _) = index.apply_delta(&space, &t, &[3, 4], &[], &cfg);
             assert_eq!(pairs, fresh_pairs, "shards {shards}");

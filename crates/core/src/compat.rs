@@ -14,9 +14,7 @@
 //!
 //! # The scoring hot path
 //!
-//! Scoring used to rebuild a per-pair hash index of table `b` and
-//! re-run edit distance from scratch for every scored pair. The fast
-//! path instead shares a [`ScoringContext`] across all pairs of a run:
+//! Scoring shares one [`ScoringContext`] across all pairs of a run:
 //!
 //! * per table, a sorted interned `(left_class, right_class, right_id,
 //!   left_id)` view with precomputed left-class runs, so
@@ -32,8 +30,9 @@
 //!   counts, so weights for matching-parameter variants derive
 //!   arithmetically — no re-scoring.
 //!
-//! The fast path is bit-identical to the naive per-pair loop (kept
-//! under `#[cfg(test)]` as the property-test oracle).
+//! It is bit-identical to the naive per-pair loop (a hash index of
+//! table `b` rebuilt and edit distance re-run for every pair), kept
+//! under `#[cfg(test)]` as the property-test oracle.
 
 use crate::approx::{ApproxMemo, ApproxMemoStats, ROLE_LEFT, ROLE_RIGHT};
 use crate::config::SynthesisConfig;
@@ -144,13 +143,13 @@ fn view_of(space: &ValueSpace, t: &NormBinary) -> TableView {
 /// Renumbering-invariant content key of a table: `(pair count,
 /// order-independent hash of the normalized pair strings)`.
 ///
-/// Canonical orientation used to tie-break on interned ids, which made
-/// scoring depend on the *numbering* of the value space. Incremental
-/// sessions ([`crate::delta`]) intern append-only while a fresh session
-/// on the same corpus renumbers from scratch, so every scoring
-/// tie-break must be a function of table *content* alone — otherwise
-/// delta-derived and fresh outputs could diverge on equal-length
-/// tables.
+/// Canonical orientation must not tie-break on interned ids: that
+/// would make scoring depend on the *numbering* of the value space.
+/// Incremental sessions ([`crate::delta`]) intern append-only while a
+/// fresh session on the same corpus renumbers from scratch, so every
+/// scoring tie-break must be a function of table *content* alone —
+/// otherwise delta-derived and fresh outputs could diverge on
+/// equal-length tables.
 pub(crate) fn content_key(space: &ValueSpace, t: &NormBinary) -> (usize, u64) {
     let hash = t
         .pairs
@@ -214,8 +213,8 @@ pub struct ScoringBuildStats {
 
 /// Shared scoring state for one candidate set: per-table sorted views
 /// plus the global approximate-match memo. Built once per session;
-/// every scored pair reuses it. Corpus deltas grow it in place with
-/// [`extend`](Self::extend).
+/// every scored pair reuses it. Corpus deltas advance it in place with
+/// [`patch`](Self::patch).
 #[derive(Clone, Debug)]
 pub struct ScoringContext {
     views: Vec<TableView>,
@@ -230,6 +229,16 @@ pub struct ScoringContext {
     pub build_stats: ScoringBuildStats,
 }
 
+/// Mark the role (left / right) every value of `tables` plays.
+fn mark_roles<'a>(roles: &mut [u8], tables: impl IntoIterator<Item = &'a NormBinary>) {
+    for tb in tables {
+        for &(l, r) in &tb.pairs {
+            roles[l.0 as usize] |= ROLE_LEFT;
+            roles[r.0 as usize] |= ROLE_RIGHT;
+        }
+    }
+}
+
 impl ScoringContext {
     /// Build the context: per-table views (parallel) and, when the
     /// config enables approximate matching, the one-shot [`ApproxMemo`]
@@ -240,41 +249,10 @@ impl ScoringContext {
         cfg: &SynthesisConfig,
         mr: &MapReduce,
     ) -> Self {
-        let t = Instant::now();
-        let views: Vec<TableView> = mr.par_map(tables, |tb| view_of(space, tb));
-        let index_build = t.elapsed();
-
-        let mut roles = vec![0u8; space.len()];
-        for tb in tables {
-            for &(l, r) in &tb.pairs {
-                roles[l.0 as usize] |= ROLE_LEFT;
-                roles[r.0 as usize] |= ROLE_RIGHT;
-            }
-        }
-
-        let mut build_stats = ScoringBuildStats {
-            index_build,
-            ..Default::default()
-        };
-        let memo = if cfg.approx_matching {
-            let t = Instant::now();
-            let memo = ApproxMemo::build(space, &roles, cfg.match_params, mr);
-            build_stats.approx_memo = t.elapsed();
-            build_stats.memo = memo.stats;
-            Some(memo)
-        } else {
-            None
-        };
-
-        Self {
-            views,
-            memo,
-            roles,
-            params: cfg.match_params,
-            approx_matching: cfg.approx_matching,
-            max_approx_cross: cfg.max_approx_cross,
-            build_stats,
-        }
+        Self::assemble(None, space, tables, cfg, mr, |roles| {
+            cfg.approx_matching
+                .then(|| ApproxMemo::build(space, roles, cfg.match_params, mr))
+        })
     }
 
     /// Rebuild the context over a *renumbered* table list while
@@ -283,8 +261,7 @@ impl ScoringContext {
     /// renumbered, so the memoized distances — the expensive part —
     /// survive; only value pairs that became queryable (one side new
     /// or newly role-carrying) run the edit-distance kernel. Views are
-    /// rebuilt (they
-    /// are position-indexed and cheap).
+    /// rebuilt (they are position-indexed and cheap).
     ///
     /// `space` must be append-only over the space `prev` was built
     /// with, and `cfg`'s matching settings must equal `prev`'s.
@@ -295,37 +272,70 @@ impl ScoringContext {
         cfg: &SynthesisConfig,
         mr: &MapReduce,
     ) -> Self {
-        assert_eq!(cfg.match_params, prev.params, "matching identity");
-        assert_eq!(
-            cfg.approx_matching, prev.approx_matching,
-            "matching identity"
-        );
+        Self::assemble(Some(prev), space, tables, cfg, mr, |roles| {
+            let memo = prev.memo.as_ref()?;
+            Some(memo.extend(space, &prev.roles, roles, mr))
+        })
+    }
+
+    /// Build the context for a *compacted* session: views and roles
+    /// are computed fresh over the compacted table list (exactly as
+    /// [`build`](Self::build) would), but the approximate-match memo is
+    /// carried over through [`ApproxMemo::compact`] — `map` translates
+    /// pre-compaction value ids into the freshly rebuilt space — so no
+    /// edit-distance work re-runs. The fresh roles also serve as the
+    /// compaction filter that sheds every stale-role-only pair, leaving
+    /// the memo bit-identical in behavior to a fresh build's.
+    pub fn compacted(
+        prev: &ScoringContext,
+        space: &ValueSpace,
+        tables: &[NormBinary],
+        cfg: &SynthesisConfig,
+        map: impl Fn(NormId) -> Option<NormId>,
+        mr: &MapReduce,
+    ) -> Self {
+        Self::assemble(Some(prev), space, tables, cfg, mr, |roles| {
+            let memo = prev.memo.as_ref()?;
+            Some(memo.compact(map, space.len(), roles))
+        })
+    }
+
+    /// The one construction sequence — views, roles, memo, stats — that
+    /// every lifecycle shares; they differ only in where the memo comes
+    /// from (`memo_for` receives the fresh roles) and in whether a
+    /// `prev` context's accumulated build costs carry forward.
+    fn assemble(
+        prev: Option<&ScoringContext>,
+        space: &ValueSpace,
+        tables: &[NormBinary],
+        cfg: &SynthesisConfig,
+        mr: &MapReduce,
+        memo_for: impl FnOnce(&[u8]) -> Option<ApproxMemo>,
+    ) -> Self {
+        if let Some(prev) = prev {
+            assert_eq!(cfg.match_params, prev.params, "matching identity");
+            assert_eq!(
+                cfg.approx_matching, prev.approx_matching,
+                "matching identity"
+            );
+        }
         let t = Instant::now();
         let views: Vec<TableView> = mr.par_map(tables, |tb| view_of(space, tb));
         let index_build = t.elapsed();
 
         let mut roles = vec![0u8; space.len()];
-        for tb in tables {
-            for &(l, r) in &tb.pairs {
-                roles[l.0 as usize] |= ROLE_LEFT;
-                roles[r.0 as usize] |= ROLE_RIGHT;
-            }
-        }
+        mark_roles(&mut roles, tables);
 
         let mut build_stats = ScoringBuildStats {
             index_build,
-            ..prev.build_stats
+            ..prev.map(|p| p.build_stats).unwrap_or_default()
         };
-        let memo = match &prev.memo {
-            Some(m) => {
-                let t = Instant::now();
-                let grown = m.extend(space, &prev.roles, &roles, mr);
-                build_stats.approx_memo = prev.build_stats.approx_memo + t.elapsed();
-                build_stats.memo = grown.stats;
-                Some(grown)
-            }
-            None => None,
-        };
+        let t = Instant::now();
+        let memo = memo_for(&roles);
+        if let Some(memo) = &memo {
+            build_stats.approx_memo += t.elapsed();
+            build_stats.memo = memo.stats;
+        }
 
         Self {
             views,
@@ -338,61 +348,19 @@ impl ScoringContext {
         }
     }
 
-    /// Grow the context for a corpus delta: append views for the
-    /// tables at positions `new_positions` (the tables slice must
-    /// cover them; tombstoned tables' stale views are simply never
-    /// queried again) and extend the memo with the pairs that became
+    /// Advance the context for a corpus delta: rebuild the views of
+    /// the tables at `replaced_positions` (whose `tables` entries now
+    /// hold post-patch content), append views for `new_positions`
+    /// (tombstoned tables' stale views are simply never queried
+    /// again), and extend the memo with the pairs that became
     /// queryable — new values, or old values that gained a role.
     ///
     /// `space` is the *grown* value space (append-only over the one
-    /// the context was built with).
-    pub fn extend(
-        &mut self,
-        space: &ValueSpace,
-        tables: &[NormBinary],
-        new_positions: &[u32],
-        mr: &MapReduce,
-    ) {
-        let t = Instant::now();
-        let new_views: Vec<TableView> =
-            mr.par_map(new_positions, |&ti| view_of(space, &tables[ti as usize]));
-        debug_assert_eq!(
-            new_positions.first().map(|&p| p as usize),
-            (!new_positions.is_empty()).then_some(self.views.len()),
-            "new views must append contiguously"
-        );
-        self.views.extend(new_views);
-        self.build_stats.index_build += t.elapsed();
-
-        let old_roles = std::mem::take(&mut self.roles);
-        let mut roles = old_roles.clone();
-        roles.resize(space.len(), 0);
-        for &ti in new_positions {
-            for &(l, r) in &tables[ti as usize].pairs {
-                roles[l.0 as usize] |= ROLE_LEFT;
-                roles[r.0 as usize] |= ROLE_RIGHT;
-            }
-        }
-        if let Some(memo) = &self.memo {
-            let t = Instant::now();
-            let grown = memo.extend(space, &old_roles, &roles, mr);
-            self.build_stats.approx_memo += t.elapsed();
-            self.build_stats.memo = grown.stats;
-            self.memo = Some(grown);
-        }
-        self.roles = roles;
-    }
-
-    /// Advance the context for a row-patch delta: rebuild the views of
-    /// the tables at `replaced_positions` (whose `tables` entries now
-    /// hold post-patch content), append views for `new_positions`, and
-    /// extend the memo exactly as [`extend`](Self::extend) does.
-    ///
-    /// Replaced values' old role bits are kept — stale bits only ever
-    /// cache extra memo pairs no live query can reach (the same
-    /// argument that lets removed tables keep theirs) — so the memo
-    /// grows monotonically and only genuinely new value pairs run the
-    /// edit-distance kernel.
+    /// the context was built with). Replaced values' old role bits are
+    /// kept — stale bits only ever cache extra memo pairs no live query
+    /// can reach (the same argument that lets removed tables keep
+    /// theirs) — so the memo grows monotonically and only genuinely new
+    /// value pairs run the edit-distance kernel.
     pub fn patch(
         &mut self,
         space: &ValueSpace,
@@ -421,12 +389,13 @@ impl ScoringContext {
         let old_roles = std::mem::take(&mut self.roles);
         let mut roles = old_roles.clone();
         roles.resize(space.len(), 0);
-        for &ti in replaced_positions.iter().chain(new_positions) {
-            for &(l, r) in &tables[ti as usize].pairs {
-                roles[l.0 as usize] |= ROLE_LEFT;
-                roles[r.0 as usize] |= ROLE_RIGHT;
-            }
-        }
+        mark_roles(
+            &mut roles,
+            replaced_positions
+                .iter()
+                .chain(new_positions)
+                .map(|&ti| &tables[ti as usize]),
+        );
         if let Some(memo) = &self.memo {
             let t = Instant::now();
             let grown = memo.extend(space, &old_roles, &roles, mr);
@@ -435,62 +404,6 @@ impl ScoringContext {
             self.memo = Some(grown);
         }
         self.roles = roles;
-    }
-
-    /// Build the context for a *compacted* session: views and roles
-    /// are computed fresh over the compacted table list (exactly as
-    /// [`build`](Self::build) would), but the approximate-match memo is
-    /// carried over through [`ApproxMemo::compact`] — `map` translates
-    /// pre-compaction value ids into the freshly rebuilt space — so no
-    /// edit-distance work re-runs. The fresh roles also serve as the
-    /// compaction filter that sheds every stale-role-only pair, leaving
-    /// the memo bit-identical in behavior to a fresh build's.
-    pub fn compacted(
-        prev: &ScoringContext,
-        space: &ValueSpace,
-        tables: &[NormBinary],
-        cfg: &SynthesisConfig,
-        map: impl Fn(NormId) -> Option<NormId>,
-        mr: &MapReduce,
-    ) -> Self {
-        assert_eq!(cfg.match_params, prev.params, "matching identity");
-        assert_eq!(
-            cfg.approx_matching, prev.approx_matching,
-            "matching identity"
-        );
-        let t = Instant::now();
-        let views: Vec<TableView> = mr.par_map(tables, |tb| view_of(space, tb));
-        let index_build = t.elapsed();
-
-        let mut roles = vec![0u8; space.len()];
-        for tb in tables {
-            for &(l, r) in &tb.pairs {
-                roles[l.0 as usize] |= ROLE_LEFT;
-                roles[r.0 as usize] |= ROLE_RIGHT;
-            }
-        }
-
-        let mut build_stats = ScoringBuildStats {
-            index_build,
-            ..prev.build_stats
-        };
-        let memo = prev.memo.as_ref().map(|m| {
-            let t = Instant::now();
-            let compacted = m.compact(map, space.len(), &roles);
-            build_stats.approx_memo = prev.build_stats.approx_memo + t.elapsed();
-            build_stats.memo = compacted.stats;
-            compacted
-        });
-
-        Self {
-            views,
-            memo,
-            roles,
-            params: cfg.match_params,
-            approx_matching: cfg.approx_matching,
-            max_approx_cross: cfg.max_approx_cross,
-            build_stats,
-        }
     }
 
     /// Number of tables in the context.
@@ -578,6 +491,81 @@ impl ScoringContext {
         merge_join_counts(space, memo, x, y, params, max_approx_cross)
     }
 
+    /// Match counts and weights for the sorted blocked `pairs` over
+    /// `tables`, merge-joining only the pairs a previous artifact's
+    /// `cached` counts (sorted by pair) do not already answer.
+    ///
+    /// `remap` translates a table position in `cached`'s coordinates
+    /// to its position in `tables`, or `None` when nothing cached
+    /// about that table may be reused — it is gone, or its content
+    /// changed and its pairs must re-join. It must be monotone over the
+    /// positions it keeps, so the reusable entries stay sorted. Two
+    /// live tables' counts depend only on their contents, the class
+    /// partition restricted to their values, and memoized distances, so
+    /// a reused entry is exactly what the merge-join would recompute.
+    pub(crate) fn carry_counts(
+        &self,
+        space: &ValueSpace,
+        tables: &[NormBinary],
+        pairs: &[(u32, u32)],
+        cached: &[(u32, u32, MatchCounts)],
+        remap: impl Fn(u32) -> Option<u32>,
+        mr: &MapReduce,
+    ) -> CarriedCounts {
+        let mut reusable = cached
+            .iter()
+            .filter_map(|&(a, b, c)| {
+                let (a2, b2) = (remap(a)?, remap(b)?);
+                debug_assert!(a2 < b2, "monotone renumbering preserves pair order");
+                Some((a2, b2, c))
+            })
+            .peekable();
+        // One slot per pair, in pair order; `fresh` lists the slots no
+        // cached entry answered, filled by the merge-join below.
+        let mut counts: Vec<(u32, u32, MatchCounts)> = Vec::with_capacity(pairs.len());
+        let mut fresh: Vec<usize> = Vec::new();
+        for &(a, b) in pairs {
+            while reusable.peek().is_some_and(|r| (r.0, r.1) < (a, b)) {
+                reusable.next();
+            }
+            match reusable.next_if(|r| (r.0, r.1) == (a, b)) {
+                Some(r) => counts.push(r),
+                None => {
+                    fresh.push(counts.len());
+                    counts.push((a, b, MatchCounts::default()));
+                }
+            }
+        }
+        let joined: Vec<MatchCounts> = mr.par_map(&fresh, |&slot| {
+            let (a, b, _) = counts[slot];
+            self.counts(space, a, b)
+        });
+        for (&slot, c) in fresh.iter().zip(joined) {
+            counts[slot].2 = c;
+        }
+        // Raw counts are the stored artifact; weights derive
+        // arithmetically.
+        let scored = counts
+            .iter()
+            .map(|&(a, b, c)| {
+                let w = c.weights(
+                    tables[a as usize].len(),
+                    tables[b as usize].len(),
+                    self.approx_matching,
+                );
+                (a, b, w)
+            })
+            .collect();
+        let kept = pairs.len() - fresh.len();
+        CarriedCounts {
+            counts,
+            scored,
+            kept,
+            added: fresh.len(),
+            removed: cached.len() - kept,
+        }
+    }
+
     /// Score a table pair end to end from the cached state (canonical
     /// orientation, Equations 3–4).
     pub fn score_pair(&self, space: &ValueSpace, a: u32, b: u32) -> PairWeights {
@@ -588,6 +576,21 @@ impl ScoringContext {
             self.approx_matching,
         )
     }
+}
+
+/// What [`ScoringContext::carry_counts`] produces: the stage-3 pair
+/// lists plus the tallies a delta report needs.
+pub(crate) struct CarriedCounts {
+    /// `(a, b, raw match counts)` for every blocked pair, sorted.
+    pub counts: Vec<(u32, u32, MatchCounts)>,
+    /// `(a, b, weights)` under the context's base config, same order.
+    pub scored: Vec<(u32, u32, PairWeights)>,
+    /// Pairs answered from the cached counts.
+    pub kept: usize,
+    /// Pairs merge-joined fresh.
+    pub added: usize,
+    /// Cached entries that answered no pair.
+    pub removed: usize,
 }
 
 /// Canonical orientation on views: the precomputed content key, with a
@@ -772,10 +775,10 @@ fn merge_join_counts(
 }
 
 /// Count pair matches and left conflicts between two tables
-/// (direction-sensitive, like the historical implementation — callers
-/// wanting symmetric results use [`score_pair`] or a
-/// [`ScoringContext`]). Builds a throwaway two-table context; scoring
-/// loops should build one shared [`ScoringContext`] instead.
+/// (direction-sensitive — callers wanting symmetric results use
+/// [`score_pair`] or a [`ScoringContext`]). Builds a throwaway
+/// two-table context; scoring loops should build one shared
+/// [`ScoringContext`] instead.
 pub fn match_counts(
     space: &ValueSpace,
     a: &NormBinary,
@@ -785,12 +788,7 @@ pub fn match_counts(
     let (va, vb) = (view_of(space, a), view_of(space, b));
     let memo = cfg.approx_matching.then(|| {
         let mut roles = vec![0u8; space.len()];
-        for t in [a, b] {
-            for &(l, r) in &t.pairs {
-                roles[l.0 as usize] |= ROLE_LEFT;
-                roles[r.0 as usize] |= ROLE_RIGHT;
-            }
-        }
+        mark_roles(&mut roles, [a, b]);
         ApproxMemo::build(space, &roles, cfg.match_params, &MapReduce::new(1))
     });
     merge_join_counts(
@@ -1203,6 +1201,89 @@ mod tests {
             ..cfg
         }));
         assert!(!no_approx_ctx.covers(&cfg));
+    }
+
+    /// The four lifecycles' call shapes of `carry_counts`: reused
+    /// entries come through verbatim (sentinel counts no merge-join
+    /// could produce), the rest are joined fresh, the output follows
+    /// `pairs` order, and the tallies add up.
+    #[test]
+    fn carry_counts_reuses_joins_and_tallies() {
+        let rows = vec![("a", "1"), ("b", "2"), ("c", "3")];
+        let (space, t) = setup((0..4).map(|_| rows.clone()).collect());
+        let mr = MapReduce::new(2);
+        let ctx = ScoringContext::build(&space, &t, &SynthesisConfig::default(), &mr);
+        let sentinel = |n: u32| MatchCounts {
+            overlap: 90 + n,
+            ..Default::default()
+        };
+        const ALL_PAIRS: &[(u32, u32)] = &[(0, 1), (0, 2), (1, 2)];
+        type Remap = fn(u32) -> Option<u32>;
+        type Case = (
+            &'static str,
+            &'static [(u32, u32)],
+            Vec<(u32, u32, MatchCounts)>,
+            Remap,
+            Vec<Option<u32>>,      // per output pair: the sentinel it reuses
+            (usize, usize, usize), // kept, added, removed
+        );
+        let cases: Vec<Case> = vec![
+            (
+                "fresh prepare: nothing cached",
+                ALL_PAIRS,
+                vec![],
+                Some,
+                vec![None, None, None],
+                (0, 3, 0),
+            ),
+            (
+                "compaction / renumber: cached subset through a monotone remap",
+                ALL_PAIRS,
+                vec![(0, 2, sentinel(1)), (2, 3, sentinel(2))],
+                |p| [Some(0), None, Some(1), Some(2)][p as usize],
+                vec![Some(1), None, Some(2)],
+                (2, 1, 0),
+            ),
+            (
+                "in-place delta: cached minus a must-rejoin table",
+                ALL_PAIRS,
+                vec![
+                    (0, 1, sentinel(1)),
+                    (0, 2, sentinel(2)),
+                    (1, 2, sentinel(3)),
+                ],
+                |p| (p != 1).then_some(p),
+                vec![None, Some(2), None],
+                (1, 2, 2),
+            ),
+            (
+                "shrinking pair set: cached superset",
+                &[(0, 2)],
+                vec![
+                    (0, 1, sentinel(1)),
+                    (0, 2, sentinel(2)),
+                    (0, 3, sentinel(3)),
+                    (1, 2, sentinel(4)),
+                ],
+                Some,
+                vec![Some(2)],
+                (1, 0, 3),
+            ),
+        ];
+        for (name, pairs, cached, remap, reused, tallies) in cases {
+            let out = ctx.carry_counts(&space, &t, pairs, &cached, remap, &mr);
+            assert_eq!((out.kept, out.added, out.removed), tallies, "{name}");
+            let got: Vec<(u32, u32)> = out.counts.iter().map(|&(a, b, _)| (a, b)).collect();
+            assert_eq!(got, pairs, "{name}: output follows pair order");
+            for ((&(a, b, c), &(sa, sb, w)), reused) in
+                out.counts.iter().zip(&out.scored).zip(reused)
+            {
+                let expect = reused.map_or_else(|| ctx.counts(&space, a, b), sentinel);
+                assert_eq!(c, expect, "{name}: counts of ({a}, {b})");
+                assert_eq!((sa, sb), (a, b), "{name}: scored order");
+                assert_eq!(w, c.weights(t[a as usize].len(), t[b as usize].len(), true));
+            }
+        }
     }
 }
 

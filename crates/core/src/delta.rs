@@ -13,10 +13,10 @@
 //! | Stage | Delta work |
 //! |---|---|
 //! | 1. Extraction | old columns re-scored *arithmetically* from cached co-occurrence counts ([`mapsynth_extract::ExtractionCache`]); FD/structural filters never re-run for unchanged tables; row-patched tables patch the value index per changed column and re-extract only themselves |
-//! | 2. Value space | interning extended **append-only** ([`crate::values::extend_value_space`]); removed tables tombstoned, never renumbered; row-patched candidates re-project in place, keeping their stage-2 position |
+//! | 2. Value space | interning extended **append-only** ([`crate::values::grow_value_space`]); removed tables tombstoned, never renumbered; row-patched candidates re-project in place, keeping their stage-2 position |
 //! | 3a. Blocking | posting lists + pair counts patched for touched keys only ([`crate::blocking::BlockingIndex`]) |
 //! | 3b. Approx memo | the fresh build's filtered enumeration (length window → signature prefilters → edit-distance kernel), restricted to newly queryable pairs ([`crate::approx::ApproxMemo::extend`]); `ValueSpace` signatures extend append-only with the interning |
-//! | 3c. Match counts | merge-join recomputed only for pairs whose support changed (including every pair touching a row-patched table); surviving pairs keep their cached [`MatchCounts`] verbatim |
+//! | 3c. Match counts | merge-join recomputed only for pairs whose support changed (including every pair touching a row-patched table); surviving pairs keep their cached [`crate::compat::MatchCounts`] verbatim |
 //! | 4. Variant tail | unchanged — runs over the patched artifacts |
 //!
 //! # Why bit-identity holds
@@ -81,10 +81,9 @@
 //! ```
 
 use crate::blocking::BlockingIndex;
-use crate::compat::{MatchCounts, PairWeights};
 use crate::session::SynthesisSession;
 use crate::values::{
-    extend_value_space, grow_value_space_sharded, project_candidate_at, NormBinary, ValueInterning,
+    grow_value_space, project_candidate_at, project_candidates, NormBinary, ValueInterning,
 };
 use mapsynth_corpus::{BinaryTable, Corpus, RowPatch, TableId};
 use mapsynth_extract::ExtractionCache;
@@ -594,6 +593,33 @@ pub(crate) struct IncrementalState {
     pub(crate) alive_tables: Vec<bool>,
 }
 
+/// Candidate index → stage-2 position, for the `n_candidates`
+/// candidates `tables` was projected from (`None`: projected out).
+pub(crate) fn positions_of_candidates(
+    n_candidates: usize,
+    tables: &[NormBinary],
+) -> Vec<Option<u32>> {
+    let mut pos_of_candidate = vec![None; n_candidates];
+    for (pos, t) in tables.iter().enumerate() {
+        pos_of_candidate[t.idx as usize] = Some(pos as u32);
+    }
+    pos_of_candidate
+}
+
+/// Dense renumbering of the live entries of a mask: each live
+/// position's rank among the live ones (monotone), `None` for the rest.
+pub(crate) fn dense_renumber(live: impl IntoIterator<Item = bool>) -> Vec<Option<u32>> {
+    let mut next = 0u32;
+    live.into_iter()
+        .map(|l| {
+            l.then(|| {
+                next += 1;
+                next - 1
+            })
+        })
+        .collect()
+}
+
 impl SynthesisSession {
     /// The post-delta reference corpus for this session: `corpus`
     /// restricted to the tables still live after every delta applied
@@ -797,7 +823,7 @@ impl SynthesisSession {
                 Vec::with_capacity(ex.replaced.len() + ex.added.len());
             to_intern.extend(ex.replaced.iter().cloned());
             to_intern.extend(ex.added.iter().cloned());
-            let grown = grow_value_space_sharded(
+            let grown = grow_value_space(
                 &values.space,
                 &mut incr.interning,
                 &corpus.interner,
@@ -805,6 +831,7 @@ impl SynthesisSession {
                 &self.synonyms,
                 &self.mr,
                 self.mr.workers(),
+                None,
             );
             let replaced_proj: Vec<(u32, Option<NormBinary>)> = ex
                 .replaced
@@ -954,71 +981,19 @@ impl SynthesisSession {
         report.memo_dp_calls = scores.context.build_stats.memo.dp_calls - dp_before;
 
         let replaced_set: HashSet<u32> = replaced_positions.iter().copied().collect();
-        let old_counts = std::mem::take(&mut scores.counts);
-        let mut kept: Vec<(u32, u32, MatchCounts)> = Vec::with_capacity(pairs.len());
-        let mut fresh_pairs: Vec<(u32, u32)> = Vec::new();
-        {
-            let mut oi = 0usize;
-            for &(a, b) in &pairs {
-                while oi < old_counts.len() && (old_counts[oi].0, old_counts[oi].1) < (a, b) {
-                    oi += 1;
-                }
-                let cached =
-                    oi < old_counts.len() && (old_counts[oi].0, old_counts[oi].1) == (a, b);
-                if cached && !replaced_set.contains(&a) && !replaced_set.contains(&b) {
-                    kept.push(old_counts[oi]);
-                    oi += 1;
-                } else {
-                    if cached {
-                        oi += 1;
-                    }
-                    fresh_pairs.push((a, b));
-                }
-            }
-        }
-        report.pairs_kept = kept.len();
-        report.pairs_added = fresh_pairs.len();
-        report.pairs_removed = old_counts.len() - kept.len();
-
-        let ctx = &scores.context;
-        let space = &values.space;
-        let computed: Vec<(u32, u32, MatchCounts)> = self
-            .mr
-            .par_map(&fresh_pairs, |&(a, b)| (a, b, ctx.counts(space, a, b)));
-
-        // Sorted merge back into (a, b) order.
-        let mut counts: Vec<(u32, u32, MatchCounts)> = Vec::with_capacity(pairs.len());
-        {
-            let (mut ki, mut ci) = (0usize, 0usize);
-            while ki < kept.len() || ci < computed.len() {
-                let take_kept = match (kept.get(ki), computed.get(ci)) {
-                    (Some(k), Some(c)) => (k.0, k.1) < (c.0, c.1),
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                if take_kept {
-                    counts.push(kept[ki]);
-                    ki += 1;
-                } else {
-                    counts.push(computed[ci]);
-                    ci += 1;
-                }
-            }
-        }
-        let cfg = &self.cfg.synthesis;
-        let scored: Vec<(u32, u32, PairWeights)> = counts
-            .iter()
-            .map(|&(a, b, c)| {
-                let w = c.weights(
-                    values.tables[a as usize].len(),
-                    values.tables[b as usize].len(),
-                    cfg.approx_matching,
-                );
-                (a, b, w)
-            })
-            .collect();
-        scores.counts = counts;
-        scores.scored = scored;
+        let carried = scores.context.carry_counts(
+            &values.space,
+            &values.tables,
+            &pairs,
+            &scores.counts,
+            |p| (!replaced_set.contains(&p)).then_some(p),
+            &self.mr,
+        );
+        report.pairs_kept = carried.kept;
+        report.pairs_added = carried.added;
+        report.pairs_removed = carried.removed;
+        scores.counts = carried.counts;
+        scores.scored = carried.scored;
         scores.blocking = blocking_stats;
         report.timings.scoring = t.elapsed();
         scores.elapsed += report.timings.blocking + report.timings.scoring;
@@ -1090,20 +1065,19 @@ impl SynthesisSession {
         // retained state, so only genuinely new strings normalize.
         let t = Instant::now();
         let old_values = self.values.take().expect("prepared");
-        let (space, tables) = extend_value_space(
+        let space = grow_value_space(
             &old_values.space,
             &mut incr.interning,
             &corpus.interner,
             &candidates,
             &self.synonyms,
-            0,
             &self.mr,
+            self.mr.workers(),
+            None,
         );
+        let tables = project_candidates(&space, &incr.interning, &candidates, 0, &self.mr);
         report.new_values += space.len() - old_values.space.len();
-        let mut pos_of_candidate: Vec<Option<u32>> = vec![None; candidates.len()];
-        for (pos, t) in tables.iter().enumerate() {
-            pos_of_candidate[t.idx as usize] = Some(pos as u32);
-        }
+        let pos_of_candidate = positions_of_candidates(candidates.len(), &tables);
         report.timings.values += t.elapsed();
 
         // Old stage-2 position → new stage-2 position, for surviving
@@ -1158,68 +1132,17 @@ impl SynthesisSession {
         );
         report.memo_dp_calls = context.build_stats.memo.dp_calls - dp_before;
 
-        let remapped: Vec<(u32, u32, MatchCounts)> = old_scores
-            .counts
-            .iter()
-            .filter_map(|&(a, b, c)| {
-                let (a2, b2) = (old_pos_to_new[a as usize]?, old_pos_to_new[b as usize]?);
-                debug_assert!(a2 < b2, "monotone renumbering preserves pair order");
-                Some((a2, b2, c))
-            })
-            .collect();
-        let mut kept: Vec<(u32, u32, MatchCounts)> = Vec::with_capacity(pairs.len());
-        let mut fresh_pairs: Vec<(u32, u32)> = Vec::new();
-        {
-            let mut oi = 0usize;
-            for &(a, b) in &pairs {
-                while oi < remapped.len() && (remapped[oi].0, remapped[oi].1) < (a, b) {
-                    oi += 1;
-                }
-                if oi < remapped.len() && (remapped[oi].0, remapped[oi].1) == (a, b) {
-                    kept.push(remapped[oi]);
-                    oi += 1;
-                } else {
-                    fresh_pairs.push((a, b));
-                }
-            }
-        }
-        report.pairs_kept = kept.len();
-        report.pairs_added = fresh_pairs.len();
-        report.pairs_removed = old_scores.counts.len() - kept.len();
-        let ctx_ref = &context;
-        let space_ref = &space;
-        let computed: Vec<(u32, u32, MatchCounts)> = self.mr.par_map(&fresh_pairs, |&(a, b)| {
-            (a, b, ctx_ref.counts(space_ref, a, b))
-        });
-        let mut counts: Vec<(u32, u32, MatchCounts)> = Vec::with_capacity(pairs.len());
-        {
-            let (mut ki, mut ci) = (0usize, 0usize);
-            while ki < kept.len() || ci < computed.len() {
-                let take_kept = match (kept.get(ki), computed.get(ci)) {
-                    (Some(k), Some(c)) => (k.0, k.1) < (c.0, c.1),
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                if take_kept {
-                    counts.push(kept[ki]);
-                    ki += 1;
-                } else {
-                    counts.push(computed[ci]);
-                    ci += 1;
-                }
-            }
-        }
-        let scored: Vec<(u32, u32, PairWeights)> = counts
-            .iter()
-            .map(|&(a, b, c)| {
-                let w = c.weights(
-                    tables[a as usize].len(),
-                    tables[b as usize].len(),
-                    cfg.approx_matching,
-                );
-                (a, b, w)
-            })
-            .collect();
+        let carried = context.carry_counts(
+            &space,
+            &tables,
+            &pairs,
+            &old_scores.counts,
+            |p| old_pos_to_new[p as usize],
+            &self.mr,
+        );
+        report.pairs_kept = carried.kept;
+        report.pairs_added = carried.added;
+        report.pairs_removed = carried.removed;
         report.timings.scoring = t.elapsed();
         // Unified counter semantics, identical to the in-place path.
         // `id_map` also carries ids handed to this delta's added-table
@@ -1249,8 +1172,8 @@ impl SynthesisSession {
             elapsed: old_values.elapsed + report.timings.values,
         });
         self.scores = Some(crate::session::ScoreArtifact {
-            scored,
-            counts,
+            scored: carried.scored,
+            counts: carried.counts,
             context,
             blocking: blocking_stats,
             elapsed: old_scores.elapsed + report.timings.blocking + report.timings.scoring,

@@ -29,8 +29,8 @@
 //! [`partition::Partitioning`] — as a first-class, reusable artifact
 //! with its own wall-clock timing. Sweeping a threshold or comparing
 //! conflict [`pipeline::Resolver`]s re-runs only the cheap tail, not
-//! extraction or scoring. [`pipeline::Pipeline`] is the one-shot
-//! facade over a session. Corpora evolve without re-preparing: a
+//! extraction or scoring; [`session::SynthesisSession::run`] is the
+//! one-shot entry. Corpora evolve without re-preparing: a
 //! [`delta::CorpusDelta`] (tables appended + tables retired) re-enters
 //! the pipeline at blocking via
 //! [`session::SynthesisSession::apply_delta`], bit-identical to a
@@ -77,9 +77,8 @@
 //! // pairs materialize to strings only at this boundary.
 //! assert!(strict.mappings.iter().any(|m| m.contains_pair("united states", "usa")));
 //!
-//! // The one-shot facade is equivalent to session.run(&corpus):
-//! use mapsynth::pipeline::Pipeline;
-//! let output = Pipeline::new(PipelineConfig::default()).run(&corpus);
+//! // One-shot: prepare (cached here) + synthesize with the base config.
+//! let output = session.run(&corpus);
 //! assert_eq!(output.mappings.len(), strict.mappings.len());
 //! ```
 
@@ -109,8 +108,7 @@ pub use delta::{
 pub use graph::{CompatGraph, EdgeWeights};
 pub use partition::{greedy_partition, Partitioning};
 pub use pipeline::{
-    synthesize_from, synthesize_graph, Pipeline, PipelineConfig, PipelineOutput, Resolver,
-    StageTimings,
+    synthesize_from, synthesize_graph, PipelineConfig, PipelineOutput, Resolver, StageTimings,
 };
 pub use session::{
     ExtractionArtifact, ScoreArtifact, ScoringDetail, SessionRun, SynthesisSession, ValueArtifact,

@@ -5,10 +5,9 @@
 //! with per-stage wall-clock timings (the measurements behind the
 //! paper's Figures 8 and 9).
 //!
-//! [`Pipeline`] is the one-shot facade; the staged, re-entrant engine
-//! underneath is [`crate::session::SynthesisSession`] (re-exported
-//! here), which callers running many configurations should use
-//! directly to share stage artifacts.
+//! The engine is [`crate::session::SynthesisSession`] (re-exported
+//! here): [`SynthesisSession::run`] is the one-shot entry, and callers
+//! running many configurations share its stage artifacts.
 
 pub use crate::session::{
     ExtractionArtifact, ScoreArtifact, SessionRun, SynthesisSession, ValueArtifact,
@@ -20,10 +19,8 @@ use crate::partition::partition_by_components;
 use crate::session::resolve_and_union;
 use crate::synth::SynthesizedMapping;
 use crate::values::ValueSpace;
-use mapsynth_corpus::Corpus;
 use mapsynth_extract::{ExtractionConfig, ExtractionStats};
 use mapsynth_mapreduce::MapReduce;
-use mapsynth_text::SynonymDict;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -123,9 +120,8 @@ pub fn synthesize_graph(
 }
 
 /// Run steps 2–3 (graph, partitioning, conflict resolution, union,
-/// curation ranking) on an already-built value space. The pipeline
-/// calls this; evaluation harnesses that share one extraction across
-/// many methods call it directly.
+/// curation ranking) on an already-built value space, for evaluation
+/// harnesses that share one extraction across many methods.
 pub fn synthesize_from(
     space: &Arc<ValueSpace>,
     tables: &[crate::values::NormBinary],
@@ -141,48 +137,10 @@ pub fn synthesize_from(
     synthesize_graph(space, tables, &graph, cfg, resolver, mr)
 }
 
-/// The synthesis pipeline.
-pub struct Pipeline {
-    cfg: PipelineConfig,
-    synonyms: SynonymDict,
-}
-
-impl Pipeline {
-    /// Build a pipeline with the given configuration and no synonym
-    /// feed.
-    pub fn new(cfg: PipelineConfig) -> Self {
-        Self {
-            cfg,
-            synonyms: SynonymDict::new(),
-        }
-    }
-
-    /// Attach an external synonym feed (paper §4.1 "Synonyms").
-    pub fn with_synonyms(mut self, synonyms: SynonymDict) -> Self {
-        self.synonyms = synonyms;
-        self
-    }
-
-    /// Configuration access.
-    pub fn config(&self) -> &PipelineConfig {
-        &self.cfg
-    }
-
-    /// Run all three steps on a corpus.
-    ///
-    /// Equivalent to creating a [`SynthesisSession`] and calling
-    /// [`SynthesisSession::run`]; use a session directly to reuse the
-    /// stage artifacts across configurations.
-    pub fn run(&self, corpus: &Corpus) -> PipelineOutput {
-        SynthesisSession::new(self.cfg.clone())
-            .with_synonyms(self.synonyms.clone())
-            .run(corpus)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapsynth_corpus::Corpus;
 
     /// Hand-built corpus: two conflicting code standards plus noise.
     fn two_standard_corpus() -> Corpus {
@@ -220,7 +178,7 @@ mod tests {
     #[test]
     fn pipeline_separates_conflicting_standards() {
         let corpus = two_standard_corpus();
-        let out = Pipeline::new(PipelineConfig::default()).run(&corpus);
+        let out = SynthesisSession::new(PipelineConfig::default()).run(&corpus);
         assert!(out.negative_edges > 0, "standards must conflict");
         // Find the mappings containing Germany.
         let deu: Vec<&SynthesizedMapping> = out
@@ -264,7 +222,7 @@ mod tests {
         // edge — the point is that nothing except negatives stops the
         // merge.
         cfg.synthesis.theta_edge = 0.3;
-        let out = Pipeline::new(cfg).run(&corpus);
+        let out = SynthesisSession::new(cfg).run(&corpus);
         let germany_mappings: Vec<&SynthesizedMapping> = out
             .mappings
             .iter()
@@ -281,7 +239,7 @@ mod tests {
     #[test]
     fn timings_and_counters_populated() {
         let corpus = two_standard_corpus();
-        let out = Pipeline::new(PipelineConfig::default()).run(&corpus);
+        let out = SynthesisSession::new(PipelineConfig::default()).run(&corpus);
         assert!(out.candidates >= 11, "both orientations per table");
         assert!(out.edges > 0);
         assert!(out.timings.total >= out.timings.partition);
@@ -291,14 +249,14 @@ mod tests {
     #[test]
     fn spilling_pipeline_is_bit_identical() {
         let corpus = two_standard_corpus();
-        let base = Pipeline::new(PipelineConfig::default()).run(&corpus);
+        let base = SynthesisSession::new(PipelineConfig::default()).run(&corpus);
 
         let dir = std::env::temp_dir().join(format!("mapsynth-spill-pipe-{}", std::process::id()));
         let cfg = PipelineConfig {
             spill_dir: Some(dir.clone()),
             ..Default::default()
         };
-        let spilled = Pipeline::new(cfg).run(&corpus);
+        let spilled = SynthesisSession::new(cfg).run(&corpus);
 
         assert_eq!(base.candidates, spilled.candidates);
         assert_eq!(base.edges, spilled.edges);
@@ -320,7 +278,7 @@ mod tests {
     #[test]
     fn mappings_ranked_by_popularity() {
         let corpus = two_standard_corpus();
-        let out = Pipeline::new(PipelineConfig::default()).run(&corpus);
+        let out = SynthesisSession::new(PipelineConfig::default()).run(&corpus);
         for w in out.mappings.windows(2) {
             assert!(
                 w[0].domains >= w[1].domains,
@@ -333,11 +291,12 @@ mod tests {
 #[cfg(test)]
 mod edge_tests {
     use super::*;
+    use mapsynth_corpus::Corpus;
 
     #[test]
     fn empty_corpus_produces_nothing() {
         let corpus = Corpus::new();
-        let out = Pipeline::new(PipelineConfig::default()).run(&corpus);
+        let out = SynthesisSession::new(PipelineConfig::default()).run(&corpus);
         assert!(out.mappings.is_empty());
         assert_eq!(out.candidates, 0);
         assert_eq!(out.edges, 0);
@@ -354,7 +313,7 @@ mod edge_tests {
                 (Some("code"), vec!["1", "2", "3", "4", "5"]),
             ],
         );
-        let out = Pipeline::new(PipelineConfig::default()).run(&corpus);
+        let out = SynthesisSession::new(PipelineConfig::default()).run(&corpus);
         // Both orientations, no merging possible.
         assert_eq!(out.edges, 0);
         for m in &out.mappings {
@@ -378,7 +337,7 @@ mod edge_tests {
                 ],
             );
         }
-        let out = Pipeline::new(PipelineConfig::default()).run(&corpus);
+        let out = SynthesisSession::new(PipelineConfig::default()).run(&corpus);
         assert!(out
             .mappings
             .iter()

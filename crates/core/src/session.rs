@@ -1,8 +1,7 @@
 //! The staged synthesis engine — one [`SynthesisSession`] per corpus.
 //!
-//! [`crate::pipeline::Pipeline::run`] is a convenience facade over
-//! this module. The session splits the monolithic run into explicit,
-//! reusable **stage artifacts**:
+//! The session splits the synthesis run into explicit, reusable
+//! **stage artifacts**:
 //!
 //! | Stage | Artifact | Reusable across |
 //! |---|---|---|
@@ -40,25 +39,23 @@ use crate::compat::{MatchCounts, PairWeights, ScoringContext};
 use crate::config::SynthesisConfig;
 use crate::conflict::{resolve_conflicts, resolve_majority_vote};
 use crate::curate;
-use crate::delta::IncrementalState;
+use crate::delta::{dense_renumber, positions_of_candidates, IncrementalState};
 use crate::graph::{graph_from_scores, CompatGraph};
 use crate::partition::{partition_by_components, Partitioning};
 use crate::pipeline::{PipelineConfig, PipelineOutput, Resolver, StageTimings};
 use crate::synth::SynthesizedMapping;
-use crate::values::{build_value_space_spillable, NormBinary, NormId, ValueSpace};
-use mapsynth_corpus::{BinaryId, CoherenceFunnel, Corpus, Interner, TableId, TableSource};
-use mapsynth_extract::{
-    extract_candidates_masked, extract_candidates_streaming, ExtractionCache, ExtractionStats,
-};
+use crate::values::{build_value_space_sharded, NormBinary, NormId, ValueSpace};
+use mapsynth_corpus::{BinaryId, CoherenceFunnel, Corpus, TableId, TableSource};
+use mapsynth_extract::{extract_candidates_streaming, ExtractionStats};
 use mapsynth_mapreduce::MapReduce;
 use mapsynth_text::SynonymDict;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Tables pulled per batch by the streaming prepare — small enough to
+/// Tables pulled per batch from a streaming source — small enough to
 /// bound resident raw-table memory, large enough to keep the per-batch
-/// parallel dispatch amortized. Batch size never affects results (the
-/// streaming extractor is bit-identical for any batch size).
+/// parallel dispatch amortized. Batch size never affects results
+/// (extraction is bit-identical for any batch size).
 const STREAM_BATCH_TABLES: usize = 256;
 
 /// Stage-1 artifact: extracted candidate tables.
@@ -249,69 +246,41 @@ impl SynthesisSession {
         corpus: &Corpus,
         stage_done: impl FnMut(&'static str),
     ) -> (&ExtractionArtifact, &ValueArtifact, &ScoreArtifact) {
-        let fingerprint = (corpus.len(), corpus.total_columns() as u64);
-        self.check_fingerprint(fingerprint);
         if self.extraction.is_none() {
-            let alive = vec![true; corpus.len()];
-            self.prepare_stages_with(corpus, alive, stage_done);
+            // Lent tables cost no residency, so the whole corpus is
+            // one batch: no barrier between batches for the workers.
+            self.prepare_stages(&mut corpus.stream(), corpus.len(), stage_done);
+        } else {
+            // A materialized corpus knows its column count up front,
+            // so the whole fingerprint is checked.
+            self.check_fingerprint((corpus.len(), corpus.total_columns() as u64));
         }
-        (
-            // Invariant: the branch above either found cached
-            // artifacts or just built all three.
-            self.extraction.as_ref().expect("artifacts built above"),
-            self.values.as_ref().expect("artifacts built above"),
-            self.scores.as_ref().expect("artifacts built above"),
-        )
+        self.prepared()
     }
 
-    /// Streaming counterpart of [`prepare`](Self::prepare): stages 1–3
-    /// driven table-by-table off a [`TableSource`], so the raw corpus
-    /// is never resident — peak memory holds one batch of tables plus
-    /// the (saturating) interner and the extracted artifacts. The
-    /// resulting artifacts are bit-identical to an in-memory `prepare`
-    /// over the materialized corpus.
-    pub fn prepare_streaming<S: TableSource>(
-        &mut self,
-        source: &mut S,
-    ) -> (&ExtractionArtifact, &ValueArtifact, &ScoreArtifact) {
-        self.prepare_streaming_with(source, |_| {})
-    }
-
-    /// [`prepare_streaming`](Self::prepare_streaming) with the same
-    /// stage probe as [`prepare_with`](Self::prepare_with).
+    /// [`prepare_with`](Self::prepare_with) off any [`TableSource`]:
+    /// stages 1–3 driven batch by batch, so a source that produces
+    /// tables on the fly never has the raw corpus resident — peak
+    /// memory holds one batch of tables plus the (saturating) interner
+    /// and the extracted artifacts. The artifacts are bit-identical to
+    /// a `prepare` over the materialized corpus.
     pub fn prepare_streaming_with<S: TableSource>(
         &mut self,
         source: &mut S,
-        mut stage_done: impl FnMut(&'static str),
+        stage_done: impl FnMut(&'static str),
     ) -> (&ExtractionArtifact, &ValueArtifact, &ScoreArtifact) {
         if self.extraction.is_none() {
-            let t = Instant::now();
-            let (candidates, stats, extraction_cache) = extract_candidates_streaming(
-                source,
-                &self.cfg.extraction,
-                &self.mr,
-                STREAM_BATCH_TABLES,
-            );
-            // Streamed sources expose total columns only after the
-            // extraction pass has walked them (`next_gid` counts every
-            // column), so the fingerprint is checked post-extraction.
-            let n_tables = source.table_count();
-            self.check_fingerprint((n_tables, extraction_cache.total_columns() as u64));
-            self.extraction = Some(ExtractionArtifact {
-                candidates,
-                stats,
-                funnel: extraction_cache.coherence_funnel(),
-                elapsed: t.elapsed(),
-            });
-            stage_done("extraction");
-            let alive = vec![true; n_tables];
-            self.finish_prepare(source.interner(), alive, extraction_cache, stage_done);
+            self.prepare_stages(source, STREAM_BATCH_TABLES, stage_done);
         } else {
             self.check_fingerprint_tables(source.table_count());
         }
+        self.prepared()
+    }
+
+    fn prepared(&self) -> (&ExtractionArtifact, &ValueArtifact, &ScoreArtifact) {
         (
-            // Invariant: the branch above either found cached
-            // artifacts or just built all three.
+            // Invariant: every caller either found cached artifacts or
+            // just built all three.
             self.extraction.as_ref().expect("artifacts built above"),
             self.values.as_ref().expect("artifacts built above"),
             self.scores.as_ref().expect("artifacts built above"),
@@ -340,63 +309,44 @@ impl SynthesisSession {
         );
     }
 
-    /// Build all three stage artifacts (plus the incremental-update
-    /// state) over the tables `alive` marks. `alive` is all-true for a
-    /// plain [`prepare`](Self::prepare); the tombstone-aware mask is
-    /// used by [`apply_delta`](Self::apply_delta)'s full-rebuild
-    /// fallback, which must keep the caller's table numbering.
-    pub(crate) fn prepare_stages_with(
+    /// Build all three stage artifacts plus the incremental-update
+    /// state — the one prepare body every public entry delegates to.
+    fn prepare_stages<S: TableSource>(
         &mut self,
-        corpus: &Corpus,
-        alive: Vec<bool>,
+        source: &mut S,
+        batch_tables: usize,
         mut stage_done: impl FnMut(&'static str),
     ) {
         let t = Instant::now();
         let (candidates, stats, extraction_cache) =
-            extract_candidates_masked(corpus, &alive, &self.cfg.extraction, &self.mr);
-        self.extraction = Some(ExtractionArtifact {
+            extract_candidates_streaming(source, &self.cfg.extraction, &self.mr, batch_tables);
+        // A source exposes its total columns only after the extraction
+        // pass has walked them (`next_gid` counts every column), so the
+        // fingerprint is checked post-extraction.
+        let n_tables = source.table_count();
+        self.check_fingerprint((n_tables, extraction_cache.total_columns() as u64));
+        let extraction = self.extraction.insert(ExtractionArtifact {
             candidates,
             stats,
             funnel: extraction_cache.coherence_funnel(),
             elapsed: t.elapsed(),
         });
         stage_done("extraction");
-        self.finish_prepare(&corpus.interner, alive, extraction_cache, stage_done);
-    }
 
-    /// Stages 2–3 (value space, blocking + scoring) plus the
-    /// incremental state, shared by the in-memory and streaming
-    /// prepares. Only the interner is needed from the corpus side —
-    /// raw tables are already behind us.
-    fn finish_prepare(
-        &mut self,
-        strs: &Interner,
-        alive: Vec<bool>,
-        extraction_cache: ExtractionCache,
-        mut stage_done: impl FnMut(&'static str),
-    ) {
+        // Stages 2–3 need only the interner from the corpus side — raw
+        // tables are already behind us.
         let t = Instant::now();
-        // Invariant: both callers store the extraction artifact
-        // immediately before calling finish_prepare.
-        let candidates = &self
-            .extraction
-            .as_ref()
-            .expect("extraction stored by caller")
-            .candidates;
-        let (space, tables, interning) = build_value_space_spillable(
-            strs,
-            candidates,
+        let (space, tables, interning) = build_value_space_sharded(
+            source.interner(),
+            &extraction.candidates,
             &self.synonyms,
             &self.mr,
             self.mr.workers(),
             self.cfg.spill_dir.as_deref(),
         );
-        let mut pos_of_candidate: Vec<Option<u32>> = vec![None; candidates.len()];
-        for (pos, t) in tables.iter().enumerate() {
-            pos_of_candidate[t.idx as usize] = Some(pos as u32);
-        }
+        let pos_of_candidate = positions_of_candidates(extraction.candidates.len(), &tables);
         let dead = vec![false; tables.len()];
-        self.values = Some(ValueArtifact {
+        let values = self.values.insert(ValueArtifact {
             space,
             tables,
             elapsed: t.elapsed(),
@@ -404,11 +354,10 @@ impl SynthesisSession {
         stage_done("value_space");
 
         let t = Instant::now();
-        let values = self.values.as_ref().expect("value artifact set above");
         let space = &values.space;
         let tables = &values.tables;
         let cfg = &self.cfg.synthesis;
-        let (blocking_index, pairs, blocking) = BlockingIndex::build_spillable(
+        let (blocking_index, pairs, blocking) = BlockingIndex::build_sharded(
             space,
             tables,
             cfg,
@@ -422,24 +371,11 @@ impl SynthesisSession {
         // one-shot approximate-match memo.
         let context = ScoringContext::build(space, tables, cfg, &self.mr);
 
-        // Allocation-light merge-join per blocked pair; raw counts
-        // are the stored artifact, weights derive arithmetically.
+        // Allocation-light merge-join per blocked pair (nothing is
+        // cached yet, so every pair joins).
         let t_join = Instant::now();
-        let counts: Vec<(u32, u32, MatchCounts)> = self
-            .mr
-            .par_map(&pairs, |&(a, b)| (a, b, context.counts(space, a, b)));
+        let carried = context.carry_counts(space, tables, &pairs, &[], Some, &self.mr);
         let merge_join = t_join.elapsed();
-        let scored: Vec<(u32, u32, PairWeights)> = counts
-            .iter()
-            .map(|&(a, b, c)| {
-                let w = c.weights(
-                    tables[a as usize].len(),
-                    tables[b as usize].len(),
-                    cfg.approx_matching,
-                );
-                (a, b, w)
-            })
-            .collect();
 
         let detail = ScoringDetail {
             blocking: blocking_time,
@@ -449,8 +385,8 @@ impl SynthesisSession {
             memo: context.build_stats.memo,
         };
         self.scores = Some(ScoreArtifact {
-            scored,
-            counts,
+            scored: carried.scored,
+            counts: carried.counts,
             context,
             blocking,
             elapsed: t.elapsed(),
@@ -462,7 +398,7 @@ impl SynthesisSession {
             blocking: blocking_index,
             pos_of_candidate,
             dead,
-            alive_tables: alive,
+            alive_tables: vec![true; n_tables],
         });
         stage_done("scoring");
     }
@@ -677,16 +613,7 @@ impl SynthesisSession {
             .alive_tables
             .clone();
         let new_corpus = corpus.retain_interned(|tid| alive[tid.0 as usize]);
-        let mut table_map: Vec<Option<TableId>> = vec![None; alive.len()];
-        {
-            let mut next = 0u32;
-            for (i, &a) in alive.iter().enumerate() {
-                if a {
-                    table_map[i] = Some(TableId(next));
-                    next += 1;
-                }
-            }
-        }
+        let table_map = dense_renumber(alive.iter().copied());
 
         // Candidate renumber inside the extraction cache (monotone,
         // so surviving candidates keep their relative order), then
@@ -703,14 +630,15 @@ impl SynthesisSession {
             let mut c = old_extraction.candidates[old_id as usize].clone();
             debug_assert_eq!(c.id.0, old_id);
             c.id = BinaryId(new_id);
-            c.source = table_map[c.source.0 as usize].expect("live candidate in a live table");
+            c.source =
+                TableId(table_map[c.source.0 as usize].expect("live candidate in a live table"));
             candidates.push(c);
         }
 
         // Stage 2 rebuilt outright — this *is* the reclamation: only
         // strings live candidates reference get re-interned, exactly
         // as a fresh prepare would.
-        let (space, tables, interning) = build_value_space_spillable(
+        let (space, tables, interning) = build_value_space_sharded(
             &new_corpus.interner,
             &candidates,
             &self.synonyms,
@@ -721,7 +649,7 @@ impl SynthesisSession {
 
         // Stage 3a rebuilt outright (postings of dead tables vanish).
         let cfg = &self.cfg.synthesis;
-        let (blocking_index, pairs, blocking_stats) = BlockingIndex::build_spillable(
+        let (blocking_index, pairs, blocking_stats) = BlockingIndex::build_sharded(
             &space,
             &tables,
             cfg,
@@ -750,95 +678,33 @@ impl SynthesisSession {
         // stage-2 position renumbering. Projection usability depends
         // only on content, so live old positions biject with the new
         // slice.
-        let mut old_pos_to_new: Vec<Option<u32>> = vec![None; old_values.tables.len()];
-        {
-            let dead = &self.incr.as_ref().expect("prepared (asserted above)").dead;
-            let mut next = 0u32;
-            for (p, slot) in old_pos_to_new.iter_mut().enumerate() {
-                if !dead[p] {
-                    *slot = Some(next);
-                    next += 1;
-                }
-            }
-            assert_eq!(
-                next as usize,
-                tables.len(),
-                "live stage-2 tables must survive compaction 1:1"
-            );
-        }
-        let remapped: Vec<(u32, u32, MatchCounts)> = old_scores
-            .counts
-            .iter()
-            .filter_map(|&(a, b, c)| {
-                let (a2, b2) = (old_pos_to_new[a as usize]?, old_pos_to_new[b as usize]?);
-                debug_assert!(a2 < b2, "monotone renumbering preserves pair order");
-                Some((a2, b2, c))
-            })
-            .collect();
-        let mut counts: Vec<(u32, u32, MatchCounts)> = Vec::with_capacity(pairs.len());
-        let mut fresh_pairs: Vec<(u32, u32)> = Vec::new();
-        {
-            let mut oi = 0usize;
-            for &(a, b) in &pairs {
-                while oi < remapped.len() && (remapped[oi].0, remapped[oi].1) < (a, b) {
-                    oi += 1;
-                }
-                if oi < remapped.len() && (remapped[oi].0, remapped[oi].1) == (a, b) {
-                    counts.push(remapped[oi]);
-                    oi += 1;
-                } else {
-                    fresh_pairs.push((a, b));
-                }
-            }
-        }
+        let dead = &self.incr.as_ref().expect("prepared (asserted above)").dead;
+        let old_pos_to_new = dense_renumber(dead.iter().map(|&d| !d));
+        assert_eq!(
+            old_pos_to_new.iter().flatten().count(),
+            tables.len(),
+            "live stage-2 tables must survive compaction 1:1"
+        );
+        let carried = context.carry_counts(
+            &space,
+            &tables,
+            &pairs,
+            &old_scores.counts,
+            |p| old_pos_to_new[p as usize],
+            &self.mr,
+        );
         // The maintained blocking state and the fresh build derive the
-        // same pair set, so nothing should surface here — but if it
-        // does, score it rather than corrupt the artifact.
-        debug_assert!(
-            fresh_pairs.is_empty(),
+        // same pair set, so nothing should have needed a fresh join —
+        // but a pair that did was scored rather than left to corrupt
+        // the artifact.
+        debug_assert_eq!(
+            carried.added, 0,
             "compaction surfaced pairs the maintained blocking state lacked"
         );
-        if !fresh_pairs.is_empty() {
-            let ctx = &context;
-            let space_ref = &space;
-            let computed: Vec<(u32, u32, MatchCounts)> = self
-                .mr
-                .par_map(&fresh_pairs, |&(a, b)| (a, b, ctx.counts(space_ref, a, b)));
-            let kept = std::mem::take(&mut counts);
-            let (mut ki, mut ci) = (0usize, 0usize);
-            while ki < kept.len() || ci < computed.len() {
-                let take_kept = match (kept.get(ki), computed.get(ci)) {
-                    (Some(k), Some(c)) => (k.0, k.1) < (c.0, c.1),
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                if take_kept {
-                    counts.push(kept[ki]);
-                    ki += 1;
-                } else {
-                    counts.push(computed[ci]);
-                    ci += 1;
-                }
-            }
-        }
-        let scored: Vec<(u32, u32, PairWeights)> = counts
-            .iter()
-            .map(|&(a, b, c)| {
-                let w = c.weights(
-                    tables[a as usize].len(),
-                    tables[b as usize].len(),
-                    cfg.approx_matching,
-                );
-                (a, b, w)
-            })
-            .collect();
 
         // Install the compacted artifacts; all tombstone state resets.
-        let tables_len = tables.len();
-        let mut pos_of_candidate: Vec<Option<u32>> = vec![None; candidates.len()];
-        for (pos, t) in tables.iter().enumerate() {
-            pos_of_candidate[t.idx as usize] = Some(pos as u32);
-        }
+        let n_tables = tables.len();
+        let pos_of_candidate = positions_of_candidates(candidates.len(), &tables);
         self.extraction = Some(ExtractionArtifact {
             candidates,
             stats: old_extraction.stats,
@@ -853,8 +719,8 @@ impl SynthesisSession {
         let mut detail = old_scores.detail;
         detail.memo = context.build_stats.memo;
         self.scores = Some(ScoreArtifact {
-            scored,
-            counts,
+            scored: carried.scored,
+            counts: carried.counts,
             context,
             blocking: blocking_stats,
             elapsed: old_scores.elapsed,
@@ -863,7 +729,6 @@ impl SynthesisSession {
         let incr = self.incr.as_mut().expect("prepared (asserted above)");
         incr.interning = interning;
         incr.blocking = blocking_index;
-        let n_tables = tables_len;
         incr.pos_of_candidate = pos_of_candidate;
         incr.dead = vec![false; n_tables];
         incr.alive_tables = vec![true; new_corpus.len()];
@@ -942,29 +807,12 @@ impl SynthesisSession {
         let t_total = Instant::now();
         let fresh = self.extraction.is_none();
         self.prepare(corpus);
-        self.run_tail(fresh, t_total)
-    }
-
-    /// Full pipeline semantics off a [`TableSource`] — the
-    /// bounded-memory counterpart of [`run`](Self::run), bit-identical
-    /// to it over the materialized equivalent corpus.
-    pub fn run_streaming<S: TableSource>(&mut self, source: &mut S) -> PipelineOutput {
-        let t_total = Instant::now();
-        let fresh = self.extraction.is_none();
-        self.prepare_streaming(source);
-        self.run_tail(fresh, t_total)
-    }
-
-    /// Shared synthesize-and-report tail of
-    /// [`run`](Self::run)/[`run_streaming`](Self::run_streaming).
-    fn run_tail(&mut self, fresh: bool, t_total: Instant) -> PipelineOutput {
         let resolver = if self.cfg.synthesis.resolve_conflicts {
             Resolver::Algorithm4
         } else {
             Resolver::None
         };
         let run = self.synthesize(&self.cfg.synthesis, resolver);
-        // Invariant: run/run_streaming prepared the session just above.
         let extraction = self.extraction.as_ref().expect("prepared above");
         let mut timings = run.timings;
         // On a fresh run the end-to-end wall-clock is observable;
@@ -1252,26 +1100,6 @@ mod tests {
         }
     }
 
-    /// `run_streaming` reports the same pipeline output as `run`, and
-    /// repeated streaming prepares are idempotent.
-    #[test]
-    fn run_streaming_matches_run() {
-        let corpus = corpus();
-        let mut batch = SynthesisSession::new(PipelineConfig::default());
-        let out = batch.run(&corpus);
-        let mut streamed = SynthesisSession::new(PipelineConfig::default());
-        let out2 = streamed.run_streaming(&mut corpus.stream());
-        assert_eq!(out.mappings.len(), out2.mappings.len());
-        assert_eq!(out.candidates, out2.candidates);
-        assert_eq!(out.edges, out2.edges);
-        assert_eq!(out.negative_edges, out2.negative_edges);
-        assert_eq!(out.partitions, out2.partitions);
-        // Idempotent reuse, as with prepare().
-        let p: *const _ = streamed.values().unwrap().tables.as_ptr();
-        streamed.prepare_streaming(&mut corpus.stream());
-        assert_eq!(streamed.values().unwrap().tables.as_ptr(), p);
-    }
-
     #[test]
     #[should_panic(expected = "different corpus")]
     fn streaming_rejects_a_second_corpus() {
@@ -1283,21 +1111,6 @@ mod tests {
             d,
             vec![(Some("a"), vec!["1", "2"]), (Some("b"), vec!["3", "4"])],
         );
-        s.prepare_streaming(&mut other.stream());
-    }
-
-    #[test]
-    fn session_run_matches_monolithic_pipeline() {
-        let corpus = corpus();
-        let mut s = SynthesisSession::new(PipelineConfig::default());
-        let out = s.run(&corpus);
-        let out2 = crate::pipeline::Pipeline::new(PipelineConfig::default()).run(&corpus);
-        assert_eq!(out.mappings.len(), out2.mappings.len());
-        for (a, b) in out.mappings.iter().zip(&out2.mappings) {
-            assert_eq!(a.materialize_pairs(), b.materialize_pairs());
-        }
-        assert_eq!(out.edges, out2.edges);
-        assert_eq!(out.negative_edges, out2.negative_edges);
-        assert_eq!(out.partitions, out2.partitions);
+        s.prepare_streaming_with(&mut other.stream(), |_| {});
     }
 }

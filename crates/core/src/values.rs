@@ -195,51 +195,35 @@ impl ValueInterning {
 /// `strs` is the interner resolving the candidate tables' symbols
 /// (for a materialized corpus, its `interner` field; for a streaming
 /// source, [`TableSource::interner`](mapsynth_corpus::TableSource)).
+///
+/// This is [`build_value_space_sharded`] with one dedup shard per
+/// worker, nothing spilled, and the interning state dropped.
 pub fn build_value_space(
     strs: &Interner,
     candidates: &[BinaryTable],
     synonyms: &SynonymDict,
     mr: &MapReduce,
 ) -> (Arc<ValueSpace>, Vec<NormBinary>) {
-    let (space, tables, _) = build_value_space_stateful(strs, candidates, synonyms, mr);
+    let (space, tables, _) =
+        build_value_space_sharded(strs, candidates, synonyms, mr, mr.workers(), None);
     (space, tables)
 }
 
-/// [`build_value_space`] plus the [`ValueInterning`] state that
-/// [`extend_value_space`] needs to grow the space under corpus deltas.
-/// Shard count defaults to the engine's worker count.
-pub fn build_value_space_stateful(
-    strs: &Interner,
-    candidates: &[BinaryTable],
-    synonyms: &SynonymDict,
-    mr: &MapReduce,
-) -> (Arc<ValueSpace>, Vec<NormBinary>, ValueInterning) {
-    build_value_space_sharded(strs, candidates, synonyms, mr, mr.workers())
-}
-
-/// [`build_value_space_stateful`] with an explicit shard count for the
-/// normalized-value deduplication. The output is bit-identical for
-/// every `shards ≥ 1` (shard-count invariance is a tested contract);
-/// the parameter only controls how the dedup work is partitioned.
+/// The value-space build: [`build_value_space`] with an explicit shard
+/// count for the normalized-value deduplication and optional shard
+/// spilling, returning also the [`ValueInterning`] state that
+/// [`grow_value_space`] needs to extend the space under corpus deltas.
+///
+/// The output is bit-identical for every `shards ≥ 1` (shard-count
+/// invariance is a tested contract); the parameter only controls how
+/// the dedup work is partitioned. When `spill` names a directory, each
+/// dedup shard streams its output through the binary spill format
+/// ([`SpillWriter`]) and drops it before the stitch re-reads shards one
+/// at a time — bounding the build's residency by the largest single
+/// shard instead of the sum of all of them. The spill files are deleted
+/// as they are consumed, and the output is bit-identical to the
+/// in-memory build.
 pub fn build_value_space_sharded(
-    strs: &Interner,
-    candidates: &[BinaryTable],
-    synonyms: &SynonymDict,
-    mr: &MapReduce,
-    shards: usize,
-) -> (Arc<ValueSpace>, Vec<NormBinary>, ValueInterning) {
-    build_value_space_spillable(strs, candidates, synonyms, mr, shards, None)
-}
-
-/// [`build_value_space_sharded`] with optional shard spilling: when
-/// `spill` names a directory, each dedup shard streams its output
-/// through the binary spill format ([`SpillWriter`]) and drops it
-/// before the stitch re-reads shards one at a time — bounding the
-/// build's residency by the largest single shard instead of the sum of
-/// all of them. The spill files are deleted as they are consumed.
-/// Output is bit-identical to the in-memory build for every shard and
-/// worker count.
-pub fn build_value_space_spillable(
     strs: &Interner,
     candidates: &[BinaryTable],
     synonyms: &SynonymDict,
@@ -248,33 +232,16 @@ pub fn build_value_space_spillable(
     spill: Option<&Path>,
 ) -> (Arc<ValueSpace>, Vec<NormBinary>, ValueInterning) {
     let mut interning = ValueInterning::default();
-    let mut strings: Vec<String> = Vec::new();
-    let mut class: Vec<u32> = Vec::new();
-    intern_candidates(
+    let space = grow_value_space(
+        &ValueSpace::from_strings([]),
+        &mut interning,
         strs,
         candidates,
         synonyms,
         mr,
         shards,
         spill,
-        &mut interning,
-        &mut strings,
-        &mut class,
     );
-
-    let compact: Vec<String> = mr.par_map(&strings, |s| {
-        s.chars().filter(|c| !c.is_whitespace()).collect()
-    });
-    let char_len = compact.iter().map(|s| s.chars().count() as u32).collect();
-    let sigs: Vec<CharSignature> = mr.par_map(&compact, |s| CharSignature::of(s));
-    let space = Arc::new(ValueSpace {
-        strings,
-        compact,
-        class,
-        char_len,
-        sigs,
-    });
-
     let tables = project_candidates(&space, &interning, candidates, 0, mr);
     (space, tables, interning)
 }
@@ -283,93 +250,50 @@ pub fn build_value_space_spillable(
 /// candidates, append-only: existing ids are untouched, new distinct
 /// normalized strings get ids after [`ValueSpace::len`]. Returns the
 /// grown space (a **new** `Arc` — prior mappings keep their old
-/// handle, whose ids remain valid in both) and the projections of the
-/// new candidates, with `idx` starting at `idx_base`.
-pub fn extend_value_space(
-    space: &ValueSpace,
-    interning: &mut ValueInterning,
-    strs: &Interner,
-    new_candidates: &[BinaryTable],
-    synonyms: &SynonymDict,
-    idx_base: u32,
-    mr: &MapReduce,
-) -> (Arc<ValueSpace>, Vec<NormBinary>) {
-    extend_value_space_sharded(
-        space,
-        interning,
-        strs,
-        new_candidates,
-        synonyms,
-        idx_base,
-        mr,
-        mr.workers(),
-    )
-}
-
-/// [`extend_value_space`] with an explicit shard count; bit-identical
-/// output for every `shards ≥ 1`, exactly as for
-/// [`build_value_space_sharded`].
+/// handle, whose ids remain valid in both) **without** projecting
+/// anything: the delta paths intern the values of patched *and* added
+/// candidates in one deterministic pass, then project patched
+/// survivors at their original positions ([`project_candidate_at`]),
+/// added candidates at appended ones, and a renumbered list wholesale
+/// ([`project_candidates`]). The build is this from the empty space.
+///
+/// `shards` and `spill` are those of [`build_value_space_sharded`] and
+/// as invisible in the output; delta-sized inputs pass `None` — their
+/// shard outputs are tiny relative to the space being copied.
 #[allow(clippy::too_many_arguments)]
-pub fn extend_value_space_sharded(
+pub fn grow_value_space(
     space: &ValueSpace,
     interning: &mut ValueInterning,
     strs: &Interner,
-    new_candidates: &[BinaryTable],
-    synonyms: &SynonymDict,
-    idx_base: u32,
-    mr: &MapReduce,
-    shards: usize,
-) -> (Arc<ValueSpace>, Vec<NormBinary>) {
-    let grown =
-        grow_value_space_sharded(space, interning, strs, new_candidates, synonyms, mr, shards);
-    let tables = project_candidates(&grown, interning, new_candidates, idx_base, mr);
-    (grown, tables)
-}
-
-/// The space-growing half of [`extend_value_space_sharded`]: intern the
-/// unseen values of `new_candidates` append-only and return the grown
-/// space, **without** projecting anything. The row-patch path uses this
-/// to intern the values of patched *and* added candidates in one
-/// deterministic pass, then projects patched survivors at their
-/// original positions ([`project_candidate_at`]) and added candidates
-/// at appended ones.
-#[allow(clippy::too_many_arguments)]
-pub fn grow_value_space_sharded(
-    space: &ValueSpace,
-    interning: &mut ValueInterning,
-    strs: &Interner,
-    new_candidates: &[BinaryTable],
+    candidates: &[BinaryTable],
     synonyms: &SynonymDict,
     mr: &MapReduce,
     shards: usize,
+    spill: Option<&Path>,
 ) -> Arc<ValueSpace> {
     let mut strings = space.strings.clone();
     let mut class = space.class.clone();
     let old_len = strings.len();
-    // Delta-sized inputs never spill: the shard outputs are tiny
-    // relative to the space being cloned above.
     intern_candidates(
         strs,
-        new_candidates,
+        candidates,
         synonyms,
         mr,
         shards,
-        None,
+        spill,
         interning,
         &mut strings,
         &mut class,
     );
 
-    let new_strings = &strings[old_len..];
-    let new_compact: Vec<String> = mr.par_map(
-        &new_strings.iter().collect::<Vec<_>>(),
-        |s: &&String| -> String { s.chars().filter(|c| !c.is_whitespace()).collect() },
-    );
-    let mut compact = space.compact.clone();
+    let new_compact: Vec<String> = mr.par_map(&strings[old_len..], |s| {
+        s.chars().filter(|c| !c.is_whitespace()).collect()
+    });
     let mut char_len = space.char_len.clone();
     char_len.extend(new_compact.iter().map(|s| s.chars().count() as u32));
     let mut sigs = space.sigs.clone();
-    sigs.extend(new_compact.iter().map(|s| CharSignature::of(s)));
+    sigs.extend(mr.par_map(&new_compact, |s| CharSignature::of(s)));
+    let mut compact = space.compact.clone();
     compact.extend(new_compact);
 
     Arc::new(ValueSpace {
@@ -620,11 +544,12 @@ fn intern_candidates(
     }
 }
 
-/// Shared projection pass: each candidate's pairs mapped into the
-/// space, deduplicated, class-sorted; candidates below two usable
-/// pairs dropped.
-fn project_candidates(
-    space: &Arc<ValueSpace>,
+/// Bulk projection: each candidate's pairs mapped into the space,
+/// deduplicated, class-sorted, with `idx` counting up from `idx_base`;
+/// candidates below two usable pairs dropped. Every symbol in
+/// `candidates` must already be interned.
+pub fn project_candidates(
+    space: &ValueSpace,
     interning: &ValueInterning,
     candidates: &[BinaryTable],
     idx_base: u32,
@@ -635,37 +560,24 @@ fn project_candidates(
         .enumerate()
         .map(|(i, c)| (idx_base + i as u32, c))
         .collect();
-    let space_ref: &ValueSpace = space;
     mr.par_map(&indexed, |&(idx, cand)| {
-        project_one(space_ref, interning, cand, idx)
+        project_candidate_at(space, interning, cand, idx)
     })
     .into_iter()
     .flatten()
     .collect()
 }
 
-/// Project a single candidate into the space at an explicit `idx`. The
+/// Project a single candidate into the space at an explicit `idx`:
+/// pairs mapped into the space, deduplicated, class-sorted. The
 /// row-patch path uses this to re-project a patched survivor **at its
 /// original position** in the candidate list (the position encodes the
-/// live-table order that bit-identity depends on); the bulk paths go
-/// through [`build_value_space`]/[`extend_value_space`]. Returns `None`
-/// when fewer than two usable pairs remain — exactly the drop rule of
-/// the bulk projection.
+/// live-table order that bit-identity depends on). Returns `None` when
+/// fewer than two usable pairs remain.
 ///
 /// Every symbol in `cand` must already be interned (the caller runs
 /// the interning pass over patched candidates first).
 pub fn project_candidate_at(
-    space: &ValueSpace,
-    interning: &ValueInterning,
-    cand: &BinaryTable,
-    idx: u32,
-) -> Option<NormBinary> {
-    project_one(space, interning, cand, idx)
-}
-
-/// Shared single-candidate projection: pairs mapped into the space,
-/// deduplicated, class-sorted; below two usable pairs → `None`.
-fn project_one(
     space: &ValueSpace,
     interning: &ValueInterning,
     cand: &BinaryTable,
@@ -790,7 +702,7 @@ mod tests {
             let mr = MapReduce::new(workers);
             for shards in [1usize, 2, 8] {
                 let (space, tables, interning) =
-                    build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards);
+                    build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards, None);
                 assert_eq!(
                     space.strings, ref_strings,
                     "workers {workers} shards {shards}"
@@ -800,7 +712,7 @@ mod tests {
                 // Projections are downstream of the ids; spot-check
                 // they are stable too.
                 let (s1, t1, _) =
-                    build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, 1);
+                    build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, 1, None);
                 assert_eq!(s1.strings, space.strings);
                 assert_eq!(tables.len(), t1.len());
                 for (a, b) in tables.iter().zip(&t1) {
@@ -838,15 +750,9 @@ mod tests {
             std::env::temp_dir().join(format!("mapsynth-values-spill-test-{}", std::process::id()));
         for shards in [1usize, 3, 8] {
             let (mem_space, mem_tabs, mem_int) =
-                build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards);
-            let (spill_space, spill_tabs, spill_int) = build_value_space_spillable(
-                &corpus.interner,
-                &cands,
-                &dict,
-                &mr,
-                shards,
-                Some(&dir),
-            );
+                build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards, None);
+            let (spill_space, spill_tabs, spill_int) =
+                build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards, Some(&dir));
             assert_eq!(spill_space.strings, mem_space.strings, "shards {shards}");
             assert_eq!(spill_space.class, mem_space.class, "shards {shards}");
             assert_eq!(spill_int.norm_of_sym, mem_int.norm_of_sym);
@@ -880,17 +786,18 @@ mod tests {
         let mut reference: Option<(Vec<String>, Vec<u32>)> = None;
         for shards in [1usize, 2, 8] {
             let (space, _, mut interning) =
-                build_value_space_sharded(&corpus.interner, &cands[..1], &dict, &mr, shards);
-            let (grown, tables) = extend_value_space_sharded(
+                build_value_space_sharded(&corpus.interner, &cands[..1], &dict, &mr, shards, None);
+            let grown = grow_value_space(
                 &space,
                 &mut interning,
                 &corpus.interner,
                 &cands[1..],
                 &dict,
-                1,
                 &mr,
                 shards,
+                None,
             );
+            let tables = project_candidates(&grown, &interning, &cands[1..], 1, &mr);
             assert!(!tables.is_empty());
             match &reference {
                 None => reference = Some((grown.strings.clone(), grown.class.clone())),
@@ -984,8 +891,14 @@ mod tests {
             vec![("Canada", "CAN"), ("Peru", "PER")],
         ]);
         let mr = MapReduce::new(2);
-        let (space, _, mut interning) =
-            build_value_space_stateful(&corpus.interner, &cands[..1], &SynonymDict::new(), &mr);
+        let (space, _, mut interning) = build_value_space_sharded(
+            &corpus.interner,
+            &cands[..1],
+            &SynonymDict::new(),
+            &mr,
+            mr.workers(),
+            None,
+        );
         for i in 0..space.len() as u32 {
             assert_eq!(
                 space.signature(NormId(i)),
@@ -997,14 +910,15 @@ mod tests {
 
         // Growing the space appends signatures for the new values and
         // leaves existing ones untouched.
-        let (grown, _) = extend_value_space(
+        let grown = grow_value_space(
             &space,
             &mut interning,
             &corpus.interner,
             &cands[1..],
             &SynonymDict::new(),
-            1,
             &mr,
+            mr.workers(),
+            None,
         );
         assert!(grown.len() > space.len());
         for i in 0..grown.len() as u32 {

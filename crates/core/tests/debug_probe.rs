@@ -1,6 +1,6 @@
 //! Exploratory cluster inspector (ignored by default).
 
-use mapsynth::pipeline::{Pipeline, PipelineConfig};
+use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
 use mapsynth_gen::procedural::ProceduralConfig;
 use mapsynth_gen::{generate_web, WebConfig};
 
@@ -25,7 +25,7 @@ fn inspect_capital_clusters() {
         .count();
     eprintln!("country->capital tables in corpus: {n_tables}");
 
-    let out = Pipeline::new(PipelineConfig::default()).run(&wc.corpus);
+    let out = SynthesisSession::new(PipelineConfig::default()).run(&wc.corpus);
     let gt = wc
         .registry
         .get("country->capital")

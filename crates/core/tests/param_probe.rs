@@ -3,7 +3,7 @@
 //! benchmark cases. Run with:
 //! `cargo test -p mapsynth --release --test param_probe -- --ignored --nocapture`
 
-use mapsynth::pipeline::{Pipeline, PipelineConfig};
+use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
 use mapsynth_gen::procedural::ProceduralConfig;
 use mapsynth_gen::{generate_web, WebConfig};
 use std::collections::HashSet;
@@ -51,7 +51,7 @@ fn theta_edge_sweep() {
     for theta in [0.4, 0.5, 0.6, 0.7, 0.85, 0.95] {
         let mut cfg = PipelineConfig::default();
         cfg.synthesis.theta_edge = theta;
-        let out = Pipeline::new(cfg).run(&wc.corpus);
+        let out = SynthesisSession::new(cfg).run(&wc.corpus);
         let mut sum = 0.0;
         let mut per = Vec::new();
         for name in cases {
@@ -92,9 +92,9 @@ fn synonym_feed_effect() {
         "country->ioc",
     ];
     for frac in [0.0, 0.3, 0.6, 1.0] {
-        let pipeline = Pipeline::new(PipelineConfig::default())
-            .with_synonyms(wc.registry.partial_synonym_feed(frac, 5));
-        let out = pipeline.run(&wc.corpus);
+        let out = SynthesisSession::new(PipelineConfig::default())
+            .with_synonyms(wc.registry.partial_synonym_feed(frac, 5))
+            .run(&wc.corpus);
         let mut sum = 0.0;
         let mut per = Vec::new();
         for name in cases {

@@ -13,7 +13,7 @@
 use mapsynth::blocking::BlockingIndex;
 use mapsynth::config::SynthesisConfig;
 use mapsynth::values::{
-    build_value_space_sharded, extend_value_space_sharded, NormBinary, NormId, ValueSpace,
+    build_value_space_sharded, grow_value_space, project_candidates, NormBinary, NormId, ValueSpace,
 };
 use mapsynth_corpus::{BinaryId, BinaryTable, Corpus, TableId};
 use mapsynth_mapreduce::MapReduce;
@@ -125,13 +125,13 @@ fn generated_candidates_exercise_blocking() {
     let (corpus, cands) = mk_candidates(&gen);
     let mr = MapReduce::new(2);
     let (space, tables, _) =
-        build_value_space_sharded(&corpus.interner, &cands, &synonyms(), &mr, 2);
+        build_value_space_sharded(&corpus.interner, &cands, &synonyms(), &mr, 2, None);
     assert!(
         space.len() > 10,
         "generator must produce a real value space"
     );
     let (_, pairs, _) =
-        BlockingIndex::build_sharded(&space, &tables, &SynthesisConfig::default(), &mr, 2);
+        BlockingIndex::build_sharded(&space, &tables, &SynthesisConfig::default(), &mr, 2, None);
     assert!(!pairs.is_empty(), "generator must produce blocked pairs");
 }
 
@@ -156,7 +156,7 @@ proptest! {
         let cfg = SynthesisConfig::default();
 
         let (ref_space, ref_tables, _) =
-            build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, 1);
+            build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, 1, None);
         let reference = observe_space(&ref_space, &ref_tables);
         let (_, ref_pairs, ref_stats) =
             BlockingIndex::build_unsharded(&ref_space, &ref_tables, &cfg, &mr);
@@ -166,12 +166,12 @@ proptest! {
         let at = (cands.len() * split_sel / 4).clamp(1, cands.len() - 1);
         let ext_reference = {
             let (space, tables, mut interning) =
-                build_value_space_sharded(&corpus.interner, &cands[..at], &dict, &mr, 1);
+                build_value_space_sharded(&corpus.interner, &cands[..at], &dict, &mr, 1, None);
             let n_prefix = tables.len() as u32;
-            let (grown, added) = extend_value_space_sharded(
-                &space, &mut interning, &corpus.interner, &cands[at..], &dict,
-                n_prefix, &mr, 1,
+            let grown = grow_value_space(
+                &space, &mut interning, &corpus.interner, &cands[at..], &dict, &mr, 1, None,
             );
+            let added = project_candidates(&grown, &interning, &cands[at..], n_prefix, &mr);
             let mut all = tables;
             all.extend(added);
             observe_space(&grown, &all)
@@ -179,12 +179,12 @@ proptest! {
 
         for shards in [2usize, 3, 8] {
             let (space, tables, _) =
-                build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards);
+                build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards, None);
             prop_assert_eq!(observe_space(&space, &tables), reference.clone(),
                 "value space diverged at {} shards, {} workers", shards, workers);
 
             let (_, pairs, stats) =
-                BlockingIndex::build_sharded(&space, &tables, &cfg, &mr, shards);
+                BlockingIndex::build_sharded(&space, &tables, &cfg, &mr, shards, None);
             prop_assert_eq!(&pairs, &ref_pairs,
                 "blocking pairs diverged at {} shards, {} workers", shards, workers);
             prop_assert_eq!(stats.pairs, ref_stats.pairs);
@@ -194,12 +194,12 @@ proptest! {
 
             // Extension path at this shard count.
             let (pspace, ptables, mut interning) =
-                build_value_space_sharded(&corpus.interner, &cands[..at], &dict, &mr, shards);
+                build_value_space_sharded(&corpus.interner, &cands[..at], &dict, &mr, shards, None);
             let n_prefix = ptables.len() as u32;
-            let (grown, added) = extend_value_space_sharded(
-                &pspace, &mut interning, &corpus.interner, &cands[at..], &dict,
-                n_prefix, &mr, shards,
+            let grown = grow_value_space(
+                &pspace, &mut interning, &corpus.interner, &cands[at..], &dict, &mr, shards, None,
             );
+            let added = project_candidates(&grown, &interning, &cands[at..], n_prefix, &mr);
             let mut all = ptables;
             all.extend(added);
             prop_assert_eq!(observe_space(&grown, &all), ext_reference.clone(),
@@ -211,7 +211,7 @@ proptest! {
             let k = at.min(tables.len().saturating_sub(1)).max(1);
             if k < tables.len() {
                 let (mut index, _, _) =
-                    BlockingIndex::build_sharded(&space, &tables[..k], &cfg, &mr, shards);
+                    BlockingIndex::build_sharded(&space, &tables[..k], &cfg, &mr, shards, None);
                 let added_idx: Vec<u32> = (k as u32..tables.len() as u32).collect();
                 let (delta_pairs, _) =
                     index.apply_delta(&space, &tables, &added_idx, &[], &cfg);

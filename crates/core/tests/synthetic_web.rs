@@ -1,7 +1,7 @@
 //! End-to-end integration test: synthesize mappings from a generated
 //! web corpus and check quality against the generator's ground truth.
 
-use mapsynth::pipeline::{Pipeline, PipelineConfig};
+use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
 use mapsynth_gen::procedural::ProceduralConfig;
 use mapsynth_gen::{generate_web, WebConfig};
 use std::collections::HashSet;
@@ -49,9 +49,9 @@ fn best_f(
 #[test]
 fn synthesis_quality_on_generated_corpus() {
     let wc = generate_web(&web_config(1500));
-    let pipeline = Pipeline::new(PipelineConfig::default());
+    let mut session = SynthesisSession::new(PipelineConfig::default());
     let start = std::time::Instant::now();
-    let out = pipeline.run(&wc.corpus);
+    let out = session.run(&wc.corpus);
     let elapsed = start.elapsed();
 
     eprintln!(

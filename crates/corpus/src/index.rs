@@ -49,33 +49,15 @@ impl ValueIndex {
 
     /// Build the index over an entire corpus.
     pub fn build(corpus: &Corpus) -> Self {
-        Self::build_filtered(corpus, |_| true)
-    }
-
-    /// Build the index over the tables `alive` accepts. Global column
-    /// ids are still assigned across *all* tables (so they line up
-    /// with any caller-side `first_gid` arithmetic), but dead tables
-    /// contribute no postings and do not count toward
-    /// [`total_columns`](Self::total_columns) — the statistics are
-    /// those of the live view.
-    pub fn build_filtered(corpus: &Corpus, alive: impl Fn(crate::table::TableId) -> bool) -> Self {
         let mut postings: Vec<Vec<GlobalColId>> = vec![Vec::new(); corpus.interner.len()];
-        let mut col_id = 0u32;
         let mut total = 0usize;
-        for table in &corpus.tables {
-            let live = alive(table.id);
-            for column in &table.columns {
-                let gid = GlobalColId(col_id);
-                col_id += 1;
-                if !live {
-                    continue;
-                }
-                total += 1;
-                let mut seen: HashSet<Sym> = HashSet::with_capacity(column.values.len());
-                for &v in &column.values {
-                    if seen.insert(v) {
-                        postings[v.index()].push(gid);
-                    }
+        for column in corpus.tables.iter().flat_map(|t| &t.columns) {
+            let gid = GlobalColId(total as u32);
+            total += 1;
+            let mut seen: HashSet<Sym> = HashSet::with_capacity(column.values.len());
+            for &v in &column.values {
+                if seen.insert(v) {
+                    postings[v.index()].push(gid);
                 }
             }
         }

@@ -48,16 +48,28 @@ pub trait TableSource {
     /// (ids, domains, symbols) as the previous one.
     fn rewind(&mut self);
 
-    /// Pull up to `max` tables. Returns an empty vector at end of pass.
-    fn next_batch(&mut self, max: usize) -> Vec<Table> {
-        let mut out = Vec::with_capacity(max.min(64));
-        while out.len() < max {
-            match self.next_table() {
-                Some(t) => out.push(t),
-                None => break,
+    /// Feed the rest of the pass to `f` in batches of up to `max`
+    /// tables, each with the interner that resolves its symbols. The
+    /// default pulls owned batches table by table; a source whose
+    /// tables are already resident lends them instead of cloning.
+    fn for_each_batch(&mut self, max: usize, mut f: impl FnMut(&Interner, &[Table]))
+    where
+        Self: Sized,
+    {
+        let max = max.max(1);
+        loop {
+            let mut batch = Vec::with_capacity(max.min(64));
+            while batch.len() < max {
+                match self.next_table() {
+                    Some(t) => batch.push(t),
+                    None => break,
+                }
             }
+            if batch.is_empty() {
+                break;
+            }
+            f(self.interner(), &batch);
         }
-        out
     }
 
     /// Drain the source into a materialized [`Corpus`].
@@ -86,9 +98,10 @@ pub trait TableSource {
 }
 
 /// Adapter presenting an existing in-memory [`Corpus`] as a
-/// [`TableSource`]. Tables are cloned on demand; the clone is the
-/// consumer's to drop, so the *transient* footprint is one table (or
-/// one batch) even though the borrowed corpus itself stays resident.
+/// [`TableSource`]. Batch consumers
+/// ([`for_each_batch`](TableSource::for_each_batch)) borrow the
+/// corpus's tables in place; [`next_table`](TableSource::next_table)
+/// clones on demand.
 ///
 /// This exists so every consumer can be written once against
 /// [`TableSource`] and still accept a materialized corpus; the memory
@@ -127,6 +140,14 @@ impl TableSource for CorpusStream<'_> {
 
     fn rewind(&mut self) {
         self.next = 0;
+    }
+
+    fn for_each_batch(&mut self, max: usize, mut f: impl FnMut(&Interner, &[Table])) {
+        let corpus = self.corpus;
+        for batch in corpus.tables[self.next..].chunks(max.max(1)) {
+            f(&corpus.interner, batch);
+        }
+        self.next = corpus.tables.len();
     }
 }
 
@@ -183,13 +204,24 @@ mod tests {
         }
     }
 
+    /// Borrowed batches chunk the rest of the pass — from wherever the
+    /// cursor stands — and terminate it.
     #[test]
-    fn next_batch_chunks_and_terminates() {
+    fn for_each_batch_chunks_and_terminates() {
         let c = sample();
         let mut s = c.stream();
-        assert_eq!(s.next_batch(2).len(), 2);
-        assert_eq!(s.next_batch(2).len(), 1);
-        assert!(s.next_batch(2).is_empty());
+        s.next_table();
+        let mut lent: Vec<Vec<u32>> = Vec::new();
+        s.for_each_batch(1, |strs, batch| {
+            assert_eq!(strs.len(), c.interner.len());
+            lent.push(batch.iter().map(|t| t.id.0).collect());
+        });
+        assert_eq!(lent, vec![vec![1], vec![2]]);
+        assert!(s.next_table().is_none());
+        s.rewind();
+        let mut all = Vec::new();
+        s.for_each_batch(10, |_, batch| all.extend(batch.iter().map(|t| t.id.0)));
+        assert_eq!(all, vec![0, 1, 2]);
     }
 
     #[test]

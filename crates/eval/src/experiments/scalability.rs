@@ -4,7 +4,7 @@
 
 use super::ExpConfig;
 use crate::report::{emit, Table};
-use mapsynth::pipeline::{Pipeline, PipelineConfig};
+use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
 use mapsynth_corpus::Corpus;
 use mapsynth_gen::generate_web;
 
@@ -54,11 +54,11 @@ pub fn run(cfg: &ExpConfig) -> Vec<ScalePoint> {
     for pct in [20usize, 40, 60, 80, 100] {
         let k = full.len() * pct / 100;
         let sub = subsample(&full, k);
-        let pipeline = Pipeline::new(PipelineConfig {
+        let out = SynthesisSession::new(PipelineConfig {
             workers: cfg.workers,
             ..Default::default()
-        });
-        let out = pipeline.run(&sub);
+        })
+        .run(&sub);
         points.push(ScalePoint {
             fraction: pct as f64 / 100.0,
             tables: k,

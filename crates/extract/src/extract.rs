@@ -243,14 +243,8 @@ fn enumerate_pairs(
                 stats.pairs_failed_fd += 1;
                 continue;
             }
-            let rows: Vec<_> = left
-                .values
-                .iter()
-                .copied()
-                .zip(right.values.iter().copied())
-                .collect();
             stats.candidates += 1;
-            pairs.push((i as u16, j as u16, rows));
+            pairs.push((i as u16, j as u16, row_pairs(table, i as u16, j as u16)));
         }
     }
     // Every considered pair lands in exactly one bucket — the prune
@@ -266,7 +260,56 @@ fn enumerate_pairs(
     pairs
 }
 
-/// Run candidate extraction over the corpus (paper Algorithm 1).
+/// Raw row pairs of `table`'s ordered column pair `(i, j)`.
+fn row_pairs(table: &Table, i: u16, j: u16) -> Vec<(Sym, Sym)> {
+    let (left, right) = (&table.columns[i as usize], &table.columns[j as usize]);
+    left.values
+        .iter()
+        .copied()
+        .zip(right.values.iter().copied())
+        .collect()
+}
+
+/// The candidate `table` emits for its ordered column pair `(i, j)`.
+fn candidate_of(table: &Table, id: BinaryId, i: u16, j: u16, rows: Vec<(Sym, Sym)>) -> BinaryTable {
+    BinaryTable::new(id, table.id, table.domain, i, j, rows).with_headers(
+        table.columns[i as usize].header,
+        table.columns[j as usize].header,
+    )
+}
+
+/// Carry a re-extracted table's cached candidate ids (`old`) over to
+/// its new pair set. Lost candidates tombstone cleanly; a survivor
+/// keeps its id; a *gained* candidate has no place in the old
+/// numbering (a fresh run emits it in table order), so it forces
+/// renumbering — recorded with a sentinel id until
+/// [`ExtractionCache::rebuild_candidates`] assigns real ones.
+fn carry_candidate_ids(
+    old: &[(u16, u16, u32)],
+    pairs: impl Iterator<Item = (u16, u16)> + Clone,
+    delta: &mut ExtractionDelta,
+) -> Vec<(u16, u16, u32)> {
+    let old_ids: HashMap<(u16, u16), u32> = old.iter().map(|&(i, j, idx)| ((i, j), idx)).collect();
+    let new_set: HashSet<(u16, u16)> = pairs.clone().collect();
+    delta.tombstoned.extend(
+        old.iter()
+            .filter(|&&(i, j, _)| !new_set.contains(&(i, j)))
+            .map(|&(_, _, idx)| idx),
+    );
+    pairs
+        .map(|(i, j)| {
+            let idx = old_ids.get(&(i, j)).copied().unwrap_or_else(|| {
+                delta.reordered = true;
+                GAINED_CANDIDATE
+            });
+            (i, j, idx)
+        })
+        .collect()
+}
+
+/// Run candidate extraction over a materialized corpus (paper
+/// Algorithm 1), as one borrowed batch of
+/// [`extract_candidates_streaming`].
 ///
 /// Returns candidates with stable ids (`BinaryId` in table order) and
 /// aggregate stats. Parallelized with [`MapReduce::par_map`]; output is
@@ -276,118 +319,22 @@ pub fn extract_candidates(
     cfg: &ExtractionConfig,
     mr: &MapReduce,
 ) -> (Vec<BinaryTable>, ExtractionStats) {
-    let (candidates, stats, _) = extract_candidates_cached(corpus, cfg, mr);
+    let (candidates, stats, _) =
+        extract_candidates_streaming(&mut corpus.stream(), cfg, mr, corpus.len());
     (candidates, stats)
 }
 
-/// [`extract_candidates`] plus the [`ExtractionCache`] that lets
-/// subsequent corpus deltas re-extract incrementally. The candidate
-/// list and stats are identical to the plain entry point (it delegates
-/// here).
-pub fn extract_candidates_cached(
-    corpus: &Corpus,
-    cfg: &ExtractionConfig,
-    mr: &MapReduce,
-) -> (Vec<BinaryTable>, ExtractionStats, ExtractionCache) {
-    extract_candidates_masked(corpus, &vec![true; corpus.tables.len()], cfg, mr)
-}
-
-/// [`extract_candidates_cached`] restricted to the tables `alive`
-/// marks. Dead tables contribute no coherence evidence and emit no
-/// candidates — the output is exactly what [`extract_candidates`]
-/// produces on [`Corpus::subset`] of the live tables (modulo interner
-/// ids), while keeping the *caller's* table numbering so an
-/// incremental session can rebuild in place after tombstoning tables.
-pub fn extract_candidates_masked(
-    corpus: &Corpus,
-    alive: &[bool],
-    cfg: &ExtractionConfig,
-    mr: &MapReduce,
-) -> (Vec<BinaryTable>, ExtractionStats, ExtractionCache) {
-    assert_eq!(alive.len(), corpus.tables.len());
-    let index = ValueIndex::build_filtered(corpus, |tid| alive[tid.0 as usize]);
-
-    // Global column ids are assigned in (table, column) order, across
-    // dead tables too — gaps are harmless (coherence is count
-    // arithmetic) and keep the id assignment delta-stable.
-    let mut first_col: Vec<u32> = Vec::with_capacity(corpus.tables.len());
-    let mut next = 0u32;
-    for t in &corpus.tables {
-        first_col.push(next);
-        next += t.width() as u32;
-    }
-
-    let live: Vec<usize> = (0..corpus.tables.len()).filter(|&ti| alive[ti]).collect();
-    let index_ref = &index;
-    let first_ref = &first_col;
-    let outputs: Vec<TableExtraction> = mr.par_map(&live, |&ti| {
-        extract_table(
-            &corpus.interner,
-            index_ref,
-            &corpus.tables[ti],
-            first_ref[ti],
-            cfg,
-        )
-    });
-
-    let mut all = Vec::new();
-    let mut stats = ExtractionStats::default();
-    let mut funnel = CoherenceFunnel::default();
-    let mut tables: Vec<TableCache> = (0..corpus.tables.len())
-        .map(|ti| TableCache {
-            alive: false,
-            first_gid: first_col[ti],
-            cols: Vec::new(),
-            stats: ExtractionStats::default(),
-            candidates: Vec::new(),
-        })
-        .collect();
-    for (&ti, out) in live.iter().zip(outputs) {
-        merge_stats(&mut stats, &out.stats);
-        funnel.merge(&out.funnel);
-        let table = &corpus.tables[ti];
-        let mut emitted = Vec::with_capacity(out.pairs.len());
-        for (i, j, rows) in out.pairs {
-            let id = BinaryId(all.len() as u32);
-            emitted.push((i, j, id.0));
-            all.push(
-                BinaryTable::new(id, table.id, table.domain, i, j, rows).with_headers(
-                    table.columns[i as usize].header,
-                    table.columns[j as usize].header,
-                ),
-            );
-        }
-        tables[ti] = TableCache {
-            alive: true,
-            first_gid: first_col[ti],
-            cols: out.cols,
-            stats: out.stats,
-            candidates: emitted,
-        };
-    }
-    let cache = ExtractionCache {
-        index,
-        tables,
-        next_gid: next,
-        next_candidate: all.len() as u32,
-        funnel,
-    };
-    (all, stats, cache)
-}
-
-/// Streaming variant of [`extract_candidates_cached`]: pull tables
-/// from a [`TableSource`] in bounded batches instead of borrowing a
-/// materialized corpus.
+/// Candidate extraction over a [`TableSource`], pulled in batches of
+/// up to `batch_tables` tables, plus the [`ExtractionCache`] that lets
+/// subsequent corpus deltas re-extract incrementally.
 ///
 /// Two passes over the source. Pass 1 builds the [`ValueIndex`]
-/// incrementally (one batch of tables resident at a time), assigning
-/// global column ids in `(table, column)` order exactly as the batch
-/// path does. Pass 2 [`rewind`](TableSource::rewind)s and runs the
-/// same per-table extraction the batch path runs, so candidates, stats
-/// and the returned [`ExtractionCache`] are **bit-identical** to
-/// [`extract_candidates_cached`] on the materialized corpus — only the
-/// peak memory differs: the raw tables of at most one batch are alive
-/// at any moment, while the batch path holds all of them.
+/// incrementally, assigning global column ids in `(table, column)`
+/// order. Pass 2 [`rewind`](TableSource::rewind)s and runs the
+/// per-table extraction against the complete index. A source that
+/// produces tables on the fly keeps at most one batch of raw tables
+/// alive at any moment; a materialized corpus
+/// ([`Corpus::stream`]) lends its tables without copying them.
 ///
 /// `batch_tables` trades parallelism against residency; it has no
 /// effect on the output.
@@ -404,15 +351,11 @@ pub fn extract_candidates_streaming<S: TableSource>(
     let mut index = ValueIndex::empty();
     let mut first_col: Vec<u32> = Vec::with_capacity(n_tables);
     let mut next = 0u32;
-    loop {
-        let batch = source.next_batch(batch_tables);
-        if batch.is_empty() {
-            break;
-        }
+    source.for_each_batch(batch_tables, |strs, batch| {
         let distincts: Vec<Vec<Vec<Sym>>> =
-            mr.par_map(&batch, |t| t.columns.iter().map(|c| c.distinct()).collect());
+            mr.par_map(batch, |t| t.columns.iter().map(|c| c.distinct()).collect());
         // The source interned this batch's strings while producing it.
-        index.grow_symbols(source.interner().len());
+        index.grow_symbols(strs.len());
         for (t, cols) in batch.iter().zip(distincts) {
             debug_assert_eq!(
                 t.id.0 as usize,
@@ -425,7 +368,7 @@ pub fn extract_candidates_streaming<S: TableSource>(
             }
             next += t.width() as u32;
         }
-    }
+    });
     assert_eq!(
         first_col.len(),
         n_tables,
@@ -441,13 +384,8 @@ pub fn extract_candidates_streaming<S: TableSource>(
     let mut tables: Vec<TableCache> = Vec::with_capacity(n_tables);
     let index_ref = &index;
     let first_ref = &first_col;
-    loop {
-        let batch = source.next_batch(batch_tables);
-        if batch.is_empty() {
-            break;
-        }
-        let strs = source.interner();
-        let outputs: Vec<TableExtraction> = mr.par_map(&batch, |t| {
+    source.for_each_batch(batch_tables, |strs, batch| {
+        let outputs: Vec<TableExtraction> = mr.par_map(batch, |t| {
             extract_table(strs, index_ref, t, first_ref[t.id.0 as usize], cfg)
         });
         for (t, out) in batch.iter().zip(outputs) {
@@ -457,10 +395,7 @@ pub fn extract_candidates_streaming<S: TableSource>(
             for (i, j, rows) in out.pairs {
                 let id = BinaryId(all.len() as u32);
                 emitted.push((i, j, id.0));
-                all.push(
-                    BinaryTable::new(id, t.id, t.domain, i, j, rows)
-                        .with_headers(t.columns[i as usize].header, t.columns[j as usize].header),
-                );
+                all.push(candidate_of(t, id, i, j, rows));
             }
             tables.push(TableCache {
                 alive: true,
@@ -470,7 +405,7 @@ pub fn extract_candidates_streaming<S: TableSource>(
                 candidates: emitted,
             });
         }
-    }
+    });
     let cache = ExtractionCache {
         index,
         tables,
@@ -539,7 +474,7 @@ const GAINED_CANDIDATE: u32 = u32::MAX;
 
 /// Incremental extraction state: the live [`ValueIndex`] plus each
 /// table's cached column verdicts and coherence evidence. Built by
-/// [`extract_candidates_cached`]; advanced by
+/// [`extract_candidates_streaming`]; advanced by
 /// [`apply_delta`](Self::apply_delta).
 #[derive(Clone)]
 pub struct ExtractionCache {
@@ -878,33 +813,11 @@ impl ExtractionCache {
             };
             let pairs = enumerate_pairs(&corpus.interner, table, &kept, cfg, &mut stats);
             tc.stats = stats;
-            let old_ids: std::collections::HashMap<(u16, u16), u32> = tc
-                .candidates
-                .iter()
-                .map(|&(i, j, idx)| ((i, j), idx))
-                .collect();
-            let new_set: HashSet<(u16, u16)> = pairs.iter().map(|&(i, j, _)| (i, j)).collect();
-            // Lost candidates tombstone cleanly; a *gained* candidate
-            // has no place in the old numbering (a fresh run emits it
-            // in table order), so it forces renumbering — recorded
-            // with a sentinel id until `rebuild_candidates` assigns
-            // real ones.
-            delta.tombstoned.extend(
-                tc.candidates
-                    .iter()
-                    .filter(|&&(i, j, _)| !new_set.contains(&(i, j)))
-                    .map(|&(_, _, idx)| idx),
+            tc.candidates = carry_candidate_ids(
+                &tc.candidates,
+                pairs.iter().map(|&(i, j, _)| (i, j)),
+                &mut delta,
             );
-            tc.candidates = pairs
-                .iter()
-                .map(|&(i, j, _)| {
-                    let idx = old_ids.get(&(i, j)).copied().unwrap_or_else(|| {
-                        delta.reordered = true;
-                        GAINED_CANDIDATE
-                    });
-                    (i, j, idx)
-                })
-                .collect();
         }
 
         // 4b. Re-extract row-patched tables in full against the
@@ -914,17 +827,7 @@ impl ExtractionCache {
         // patch. A surviving (left, right) pair keeps its candidate id
         // with replaced rows; a lost pair tombstones; a gained pair
         // forces a renumber exactly like a coherence flip-up.
-        let index_ref = &self.index;
-        let tables_ref = &self.tables;
-        let repatched: Vec<TableExtraction> = mr.par_map(&patched, |&ti| {
-            extract_table(
-                &corpus.interner,
-                index_ref,
-                &corpus.tables[ti as usize],
-                tables_ref[ti as usize].first_gid,
-                cfg,
-            )
-        });
+        let repatched = self.extract_tables(corpus, &patched, cfg, mr);
         for (&ti, out) in patched.iter().zip(repatched) {
             delta.tables_reextracted += 1;
             self.funnel.merge(&out.funnel);
@@ -936,37 +839,18 @@ impl ExtractionCache {
                 .zip(&out.cols)
                 .filter(|(a, b)| a.kept != b.kept)
                 .count();
-            let old_ids: HashMap<(u16, u16), u32> = tc
-                .candidates
-                .iter()
-                .map(|&(i, j, idx)| ((i, j), idx))
-                .collect();
-            let new_set: HashSet<(u16, u16)> = out.pairs.iter().map(|&(i, j, _)| (i, j)).collect();
-            delta.tombstoned.extend(
-                tc.candidates
-                    .iter()
-                    .filter(|&&(i, j, _)| !new_set.contains(&(i, j)))
-                    .map(|&(_, _, idx)| idx),
+            let emitted = carry_candidate_ids(
+                &tc.candidates,
+                out.pairs.iter().map(|&(i, j, _)| (i, j)),
+                &mut delta,
             );
             tc.cols = out.cols;
             tc.stats = out.stats;
-            let mut emitted = Vec::with_capacity(out.pairs.len());
-            for (i, j, rows) in out.pairs {
-                match old_ids.get(&(i, j)) {
-                    Some(&idx) => {
-                        emitted.push((i, j, idx));
-                        delta.replaced.push(
-                            BinaryTable::new(BinaryId(idx), table.id, table.domain, i, j, rows)
-                                .with_headers(
-                                    table.columns[i as usize].header,
-                                    table.columns[j as usize].header,
-                                ),
-                        );
-                    }
-                    None => {
-                        delta.reordered = true;
-                        emitted.push((i, j, GAINED_CANDIDATE));
-                    }
+            for (&(i, j, idx), (_, _, rows)) in emitted.iter().zip(out.pairs) {
+                if idx != GAINED_CANDIDATE {
+                    delta
+                        .replaced
+                        .push(candidate_of(table, BinaryId(idx), i, j, rows));
                 }
             }
             tc.candidates = emitted;
@@ -974,17 +858,7 @@ impl ExtractionCache {
 
         // 5. Extract the added tables against the post-delta evidence.
         let added_idx: Vec<u32> = added.iter().map(|t| t.0).collect();
-        let index_ref = &self.index;
-        let tables_ref = &self.tables;
-        let extracted: Vec<TableExtraction> = mr.par_map(&added_idx, |&ti| {
-            extract_table(
-                &corpus.interner,
-                index_ref,
-                &corpus.tables[ti as usize],
-                tables_ref[ti as usize].first_gid,
-                cfg,
-            )
-        });
+        let extracted = self.extract_tables(corpus, &added_idx, cfg, mr);
         for (&ti, out) in added_idx.iter().zip(extracted) {
             self.funnel.merge(&out.funnel);
             let table = &corpus.tables[ti as usize];
@@ -995,12 +869,7 @@ impl ExtractionCache {
                 let id = BinaryId(self.next_candidate);
                 self.next_candidate += 1;
                 tc.candidates.push((i, j, id.0));
-                delta.added.push(
-                    BinaryTable::new(id, table.id, table.domain, i, j, rows).with_headers(
-                        table.columns[i as usize].header,
-                        table.columns[j as usize].header,
-                    ),
-                );
+                delta.added.push(candidate_of(table, id, i, j, rows));
             }
         }
 
@@ -1021,6 +890,21 @@ impl ExtractionCache {
             self.sentinel_candidates(&ids);
         }
         delta
+    }
+
+    /// Extract the tables at `tis` in full against the current index.
+    fn extract_tables(
+        &self,
+        corpus: &Corpus,
+        tis: &[u32],
+        cfg: &ExtractionConfig,
+        mr: &MapReduce,
+    ) -> Vec<TableExtraction> {
+        mr.par_map(tis, |&ti| {
+            let table = &corpus.tables[ti as usize];
+            let first_gid = self.tables[ti as usize].first_gid;
+            extract_table(&corpus.interner, &self.index, table, first_gid, cfg)
+        })
     }
 
     /// Number of live candidates the cache currently tracks.
@@ -1147,17 +1031,8 @@ impl ExtractionCache {
                     id_map.push((*old, new_id));
                 }
                 *old = new_id;
-                let (left, right) = (&table.columns[*i as usize], &table.columns[*j as usize]);
-                let rows: Vec<_> = left
-                    .values
-                    .iter()
-                    .copied()
-                    .zip(right.values.iter().copied())
-                    .collect();
-                all.push(
-                    BinaryTable::new(BinaryId(new_id), table.id, table.domain, *i, *j, rows)
-                        .with_headers(left.header, right.header),
-                );
+                let rows = row_pairs(table, *i, *j);
+                all.push(candidate_of(table, BinaryId(new_id), *i, *j, rows));
             }
         }
         self.next_candidate = all.len() as u32;
@@ -1182,6 +1057,29 @@ mod tests {
             },
             ..Default::default()
         })
+    }
+
+    /// A corpus delivered the way an on-the-fly source delivers it:
+    /// owned batches through the trait's default `for_each_batch`, not
+    /// `CorpusStream`'s borrowed chunks.
+    struct OwnedBatches<'a>(mapsynth_corpus::CorpusStream<'a>);
+
+    impl TableSource for OwnedBatches<'_> {
+        fn table_count(&self) -> usize {
+            self.0.table_count()
+        }
+        fn interner(&self) -> &Interner {
+            self.0.interner()
+        }
+        fn domain_names(&self) -> &[String] {
+            self.0.domain_names()
+        }
+        fn next_table(&mut self) -> Option<Table> {
+            self.0.next_table()
+        }
+        fn rewind(&mut self) {
+            self.0.rewind()
+        }
     }
 
     #[test]
@@ -1284,7 +1182,8 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (base, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (base, _, mut cache) =
+            extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, corpus.len());
 
         // Remove a spread of tables, add clones of two strongly
         // coherent tables under a new domain (content overlap on
@@ -1344,7 +1243,8 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (base, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (base, _, mut cache) =
+            extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, corpus.len());
         let nd = corpus.domain("delta.example");
         let mut added = Vec::new();
         for &src in &[0u32, 1] {
@@ -1373,18 +1273,20 @@ mod tests {
         let _ = base;
     }
 
-    /// Streaming extraction must be bit-identical to the batch path:
-    /// same candidates (ids, sources, rows, headers), same stats, and
-    /// a cache that behaves identically under a subsequent delta.
+    /// Extraction over owned batches of any size must be bit-identical
+    /// to extraction over the borrowed corpus: same candidates (ids,
+    /// sources, rows, headers), same stats, and a cache that behaves
+    /// identically under a subsequent delta.
     #[test]
     fn streaming_matches_batch_bit_for_bit() {
         let wc = small_corpus();
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (batch, batch_stats, mut batch_cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (batch, batch_stats, mut batch_cache) =
+            extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, corpus.len());
         for batch_size in [1usize, 7, 64, 10_000] {
-            let mut stream = corpus.stream();
+            let mut stream = OwnedBatches(corpus.stream());
             let (streamed, stream_stats, _) =
                 extract_candidates_streaming(&mut stream, &cfg, &mr, batch_size);
             assert_eq!(stream_stats, batch_stats, "batch_size {batch_size}");
@@ -1399,7 +1301,7 @@ mod tests {
         // Cache equivalence: the same delta applied to the streaming
         // cache and the batch cache produces identical results.
         let (_, _, mut stream_cache) =
-            extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, 32);
+            extract_candidates_streaming(&mut OwnedBatches(corpus.stream()), &cfg, &mr, 32);
         let removed: Vec<TableId> = vec![TableId(10), TableId(42)];
         let nd = corpus.domain("delta.example");
         let cols = corpus.tables[5].columns.clone();
@@ -1455,7 +1357,8 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (base, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (base, _, mut cache) =
+            extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, corpus.len());
 
         let mut tombstoned: std::collections::HashSet<u32> = Default::default();
         let mut appended: Vec<BinaryTable> = Vec::new();
@@ -1499,7 +1402,8 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (base, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (base, _, mut cache) =
+            extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, corpus.len());
 
         // Pick a table that emitted candidates, swap one row for two
         // new ones (one value reused from another table to overlap).
@@ -1531,7 +1435,8 @@ mod tests {
         corpus.apply_row_patch(&patch);
 
         let delta = cache.apply_delta(&corpus, &[], &[], &[patch], &cfg, &mr);
-        let (fresh, fresh_stats, _) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (fresh, fresh_stats, _) =
+            extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, corpus.len());
         assert_eq!(delta.stats, fresh_stats, "aggregate stats");
 
         if delta.reordered {
@@ -1582,7 +1487,8 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (base, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (base, _, mut cache) =
+            extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, corpus.len());
         let src = base[0].source;
         let t = corpus.table(src);
         let deleted: Vec<Vec<String>> = (0..t.rows())
@@ -1603,11 +1509,13 @@ mod tests {
         let delta = cache.apply_delta(&corpus, &[], &[], &[patch], &cfg, &mr);
         if delta.reordered {
             let (rebuilt, stats, _) = cache.rebuild_candidates(&corpus);
-            let (fresh, fresh_stats, _) = extract_candidates_cached(&corpus, &cfg, &mr);
+            let (fresh, fresh_stats, _) =
+                extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, corpus.len());
             assert_eq!(stats, fresh_stats);
             assert_eq!(rebuilt.len(), fresh.len());
         } else {
-            let (_, fresh_stats, _) = extract_candidates_cached(&corpus, &cfg, &mr);
+            let (_, fresh_stats, _) =
+                extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, corpus.len());
             assert_eq!(delta.stats, fresh_stats);
         }
         assert!(cache.live_candidates() < base.len());
@@ -1677,7 +1585,8 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(2);
-        let (_, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (_, _, mut cache) =
+            extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, corpus.len());
         let base = cache.coherence_funnel();
         assert!(
             base.sketch_rejects + base.list_probes > 0,
@@ -1702,7 +1611,8 @@ mod tests {
         let mut corpus = wc.corpus;
         let cfg = ExtractionConfig::default();
         let mr = MapReduce::new(1);
-        let (_, _, mut cache) = extract_candidates_cached(&corpus, &cfg, &mr);
+        let (_, _, mut cache) =
+            extract_candidates_streaming(&mut corpus.stream(), &cfg, &mr, corpus.len());
         cache.apply_delta(&corpus, &[], &[TableId(0)], &[], &cfg, &mr);
         let patch = RowPatch {
             table: TableId(0),

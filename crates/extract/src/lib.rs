@@ -43,8 +43,7 @@ pub mod extract;
 pub mod filters;
 
 pub use extract::{
-    extract_candidates, extract_candidates_cached, extract_candidates_masked,
-    extract_candidates_streaming, ExtractionCache, ExtractionConfig, ExtractionDelta,
-    ExtractionStats,
+    extract_candidates, extract_candidates_streaming, ExtractionCache, ExtractionConfig,
+    ExtractionDelta, ExtractionStats,
 };
 pub use filters::{approx_fd_holds, column_passes, numeric_fraction, FdCheck};

@@ -1,8 +1,7 @@
 //! A simple Bloom filter over strings.
 //!
-//! Used by [`crate::snapshot::IndexSnapshot`] (and re-exported for
-//! `mapsynth-apps`'s `MappingIndex`) as the containment prefilter
-//! the paper sketches in §1 ("hash-based techniques (e.g., bloom
+//! Used by [`crate::snapshot::IndexSnapshot`] as the containment
+//! prefilter the paper sketches in §1 ("hash-based techniques (e.g., bloom
 //! filters) for efficient lookup based on value containment"). Double
 //! hashing (Kirsch–Mitzenmacher) derives k probe positions from two
 //! base hashes.

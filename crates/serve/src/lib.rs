@@ -3,8 +3,7 @@
 //! The concurrent, versioned **serving layer** over synthesized
 //! mappings. The paper's pitch for pre-computing mappings (§1) is that
 //! applications can then *look them up fast*; this crate is that
-//! lookup path scaled past the build-once, single-threaded
-//! `mapsynth-apps::MappingIndex`:
+//! lookup path — the one index the `mapsynth-apps` applications read:
 //!
 //! * [`snapshot::IndexSnapshot`] — an immutable index over a set of
 //!   mappings, **sharded by hash of the normalized lookup key** so a
@@ -12,17 +11,16 @@
 //!   per-shard hit/miss counters and batch APIs
 //!   ([`lookup_many`](snapshot::IndexSnapshot::lookup_many),
 //!   [`translate_column`](snapshot::IndexSnapshot::translate_column))
-//!   that amortize normalization and shard dispatch;
+//!   that amortize normalization and shard dispatch, plus the
+//!   per-mapping queries (coverage, side membership, forward / reverse
+//!   translation) the auto-correct / auto-fill / auto-join
+//!   applications are written against;
 //! * [`service::MappingService`] — the atomic snapshot-swap handle:
 //!   readers clone an `Arc` (no lock held across a lookup) while a
 //!   background publisher installs new versions with monotonically
 //!   increasing ids, and a bounded history supports rollback to the
 //!   previously served version;
-//! * [`store::MappingStore`] — the query trait the auto-correct /
-//!   auto-fill / auto-join applications program against, implemented
-//!   both here and by `mapsynth-apps`'s `MappingIndex`;
-//! * [`bloom::BloomFilter`] — the containment prefilter (moved here
-//!   from `mapsynth-apps`, which re-exports it).
+//! * [`bloom::BloomFilter`] — the containment prefilter.
 //!
 //! New synthesis sessions swap into the serving path without a
 //! stop-the-world rebuild — in the spirit of answering queries under
@@ -58,7 +56,6 @@ pub mod ingest;
 pub mod persist;
 pub mod service;
 pub mod snapshot;
-pub mod store;
 
 pub use bloom::BloomFilter;
 pub use ingest::{
@@ -73,4 +70,3 @@ pub use snapshot::{
     ColumnTranslation, IndexSnapshot, MappingMeta, SnapshotBuilder, SnapshotStats, ValueHit,
     DEFAULT_SHARDS,
 };
-pub use store::MappingStore;

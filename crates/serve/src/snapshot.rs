@@ -303,9 +303,9 @@ impl IndexSnapshot {
         })
     }
 
-    /// Rank mappings by how many of `values` (raw) they contain,
-    /// descending, ties by ascending id — the same contract as
-    /// `mapsynth-apps`'s `MappingIndex::rank_by_containment`.
+    /// Rank mappings by how many of `values` (raw; normalized here)
+    /// they contain: `(mapping id, covered count)`, descending count,
+    /// ties by ascending id.
     pub fn rank_by_containment(&self, values: &[&str]) -> Vec<(u32, usize)> {
         let mut counts: HashMap<u32, usize> = HashMap::new();
         for hit in self.lookup_many(values).iter().flatten() {
@@ -316,6 +316,46 @@ impl IndexSnapshot {
         let mut ranked: Vec<(u32, usize)> = counts.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         ranked
+    }
+
+    /// How `normalized` values are covered by `mapping`:
+    /// `(as lefts, as rights, uncovered)`. Values on both sides count
+    /// as lefts.
+    pub fn coverage(&self, mapping: u32, normalized: &[String]) -> (usize, usize, usize) {
+        let (mut l, mut r, mut none) = (0, 0, 0);
+        for hit in self.lookup_many_norm(normalized) {
+            match hit {
+                Some(h) if h.is_left(mapping) => l += 1,
+                Some(h) if h.is_right(mapping) => r += 1,
+                _ => none += 1,
+            }
+        }
+        (l, r, none)
+    }
+
+    /// Whether the normalized `norm` is a left value of `mapping`.
+    pub fn contains_left(&self, mapping: u32, norm: &str) -> bool {
+        self.lookup_norm(norm).is_some_and(|h| h.is_left(mapping))
+    }
+
+    /// Whether the normalized `norm` is a right value of `mapping`.
+    pub fn contains_right(&self, mapping: u32, norm: &str) -> bool {
+        self.lookup_norm(norm).is_some_and(|h| h.is_right(mapping))
+    }
+
+    /// The normalized `norm`'s right image under `mapping`, if it is a
+    /// left there. Borrowed from the snapshot — the application hot
+    /// paths stay allocation-free.
+    pub fn forward(&self, mapping: u32, norm: &str) -> Option<&str> {
+        self.lookup_norm(norm).and_then(|h| h.forward(mapping))
+    }
+
+    /// The normalized `norm`'s left preimages under `mapping` (empty
+    /// if it is not a right there). Borrowed from the snapshot.
+    pub fn reverse(&self, mapping: u32, norm: &str) -> &[String] {
+        self.lookup_norm(norm)
+            .and_then(|h| h.reverse(mapping))
+            .unwrap_or(&[])
     }
 
     /// Serving statistics accumulated against this snapshot version.
@@ -976,6 +1016,38 @@ mod tests {
         let s = snapshot();
         let ranked = s.rank_by_containment(&["California", "WA", "USA"]);
         assert_eq!(ranked, vec![(0, 2), (1, 1)]);
+    }
+
+    #[test]
+    fn per_mapping_queries_match_snapshot_contents() {
+        let s = snapshot();
+        assert_eq!(s.mapping_count(), 2);
+        assert!(s.contains_left(0, "california"));
+        assert!(!s.contains_right(0, "california"));
+        assert_eq!(s.forward(0, "washington"), Some("wa"));
+        assert_eq!(s.reverse(0, "wa"), &["washington".to_string()][..]);
+        assert!(s.reverse(0, "california").is_empty());
+        // A value of mapping 0 is no value of mapping 1.
+        assert!(!s.contains_left(1, "california"));
+        assert_eq!(s.forward(1, "california"), None);
+    }
+
+    #[test]
+    fn coverage_sides() {
+        let s = snapshot();
+        let values: Vec<String> = ["california", "wa", "nonsense"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(s.coverage(0, &values), (1, 1, 1));
+        assert_eq!(s.coverage(1, &values), (0, 0, 3));
+    }
+
+    #[test]
+    fn postings_lookup() {
+        let s = snapshot();
+        assert_eq!(s.lookup_norm("usa").expect("indexed").mappings(), &[1]);
+        assert!(s.lookup_norm("absent").is_none());
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! cargo run --release -p mapsynth-eval --example auto_correct
 //! ```
 
-use mapsynth::pipeline::{Pipeline, PipelineConfig};
-use mapsynth_apps::{autocorrect, MappingIndex};
+use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
+use mapsynth_apps::autocorrect;
 use mapsynth_gen::procedural::ProceduralConfig;
 use mapsynth_gen::{generate_web, WebConfig};
+use mapsynth_serve::SnapshotBuilder;
 
 fn main() {
     let wc = generate_web(&WebConfig {
@@ -21,8 +22,8 @@ fn main() {
         },
         ..Default::default()
     });
-    let output = Pipeline::new(PipelineConfig::default()).run(&wc.corpus);
-    let index = MappingIndex::build(&output.mappings);
+    let output = SynthesisSession::new(PipelineConfig::default()).run(&wc.corpus);
+    let index = SnapshotBuilder::from_synthesized(&output.mappings).build();
 
     // Paper Table 3: employee residence states, two rows entered as
     // abbreviations.

@@ -6,10 +6,11 @@
 //! cargo run --release -p mapsynth-eval --example auto_join
 //! ```
 
-use mapsynth::pipeline::{Pipeline, PipelineConfig};
-use mapsynth_apps::{autojoin, MappingIndex};
+use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
+use mapsynth_apps::autojoin;
 use mapsynth_gen::procedural::ProceduralConfig;
 use mapsynth_gen::{generate_web, WebConfig};
+use mapsynth_serve::SnapshotBuilder;
 
 fn main() {
     // Synthesize mappings from a generated web corpus.
@@ -22,9 +23,9 @@ fn main() {
         },
         ..Default::default()
     });
-    let output = Pipeline::new(PipelineConfig::default()).run(&wc.corpus);
-    let index = MappingIndex::build(&output.mappings);
-    println!("indexed {} synthesized mappings", index.len());
+    let output = SynthesisSession::new(PipelineConfig::default()).run(&wc.corpus);
+    let index = SnapshotBuilder::from_synthesized(&output.mappings).build();
+    println!("indexed {} synthesized mappings", index.mapping_count());
 
     // Paper Table 5: left table lists stocks by market cap (keyed by
     // ticker); right table lists companies by political contributions

@@ -8,7 +8,7 @@
 //! ```
 
 use mapsynth::curate;
-use mapsynth::pipeline::{Pipeline, PipelineConfig};
+use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
 use mapsynth_gen::{generate_web, WebConfig};
 use std::collections::HashMap;
 
@@ -18,7 +18,7 @@ fn main() {
         domains: 150,
         ..Default::default()
     });
-    let output = Pipeline::new(PipelineConfig::default()).run(&wc.corpus);
+    let output = SynthesisSession::new(PipelineConfig::default()).run(&wc.corpus);
 
     let summary = curate::summarize(&output.mappings, 4);
     println!(

@@ -8,7 +8,7 @@
 //! fragments, synonyms, one dirty cell, and a second conflicting code
 //! standard — and runs the three-step pipeline (paper Figure 1).
 
-use mapsynth::pipeline::{Pipeline, PipelineConfig};
+use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
 use mapsynth_corpus::Corpus;
 
 fn main() {
@@ -116,7 +116,7 @@ fn main() {
         ],
     );
 
-    let output = Pipeline::new(PipelineConfig::default()).run(&corpus);
+    let output = SynthesisSession::new(PipelineConfig::default()).run(&corpus);
 
     println!(
         "corpus: {} tables -> {} candidates -> {} edges ({} negative) -> {} mappings\n",

@@ -1,10 +1,11 @@
 //! Workspace integration test: generator → extraction → synthesis →
 //! applications, end to end.
 
-use mapsynth::pipeline::{Pipeline, PipelineConfig};
-use mapsynth_apps::{autocorrect, autofill, autojoin, MappingIndex};
+use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
+use mapsynth_apps::{autocorrect, autofill, autojoin};
 use mapsynth_gen::procedural::ProceduralConfig;
 use mapsynth_gen::{generate_web, WebConfig};
+use mapsynth_serve::SnapshotBuilder;
 
 fn corpus() -> mapsynth_gen::webgen::WebCorpus {
     generate_web(&WebConfig {
@@ -22,14 +23,14 @@ fn corpus() -> mapsynth_gen::webgen::WebCorpus {
 #[test]
 fn pipeline_to_applications_round_trip() {
     let wc = corpus();
-    let output = Pipeline::new(PipelineConfig::default()).run(&wc.corpus);
+    let output = SynthesisSession::new(PipelineConfig::default()).run(&wc.corpus);
     assert!(output.mappings.len() > 50);
     assert!(
         output.negative_edges > 0,
         "conflicting standards must produce negatives"
     );
 
-    let index = MappingIndex::build(&output.mappings);
+    let index = SnapshotBuilder::from_synthesized(&output.mappings).build();
 
     // Auto-correct (paper Table 3): mixed state names/abbreviations.
     let column = ["California", "Washington", "Oregon", "Texas", "CA", "WA"];
@@ -104,8 +105,8 @@ fn synthesis_beats_no_synthesis_on_recall() {
 fn deterministic_outputs_across_runs() {
     let wc1 = corpus();
     let wc2 = corpus();
-    let out1 = Pipeline::new(PipelineConfig::default()).run(&wc1.corpus);
-    let out2 = Pipeline::new(PipelineConfig::default()).run(&wc2.corpus);
+    let out1 = SynthesisSession::new(PipelineConfig::default()).run(&wc1.corpus);
+    let out2 = SynthesisSession::new(PipelineConfig::default()).run(&wc2.corpus);
     assert_eq!(out1.mappings.len(), out2.mappings.len());
     for (a, b) in out1.mappings.iter().zip(&out2.mappings).take(50) {
         assert_eq!(a.materialize_pairs(), b.materialize_pairs());

@@ -1,7 +1,7 @@
 //! Workspace integration test: the paper's qualitative claims hold as
 //! invariants of the implementation.
 
-use mapsynth::pipeline::{Pipeline, PipelineConfig, Resolver};
+use mapsynth::pipeline::{PipelineConfig, Resolver, SynthesisSession};
 use mapsynth::SynthesisConfig;
 use mapsynth_eval::{web_benchmark_attested, PreparedWeb, ResultScorer};
 use mapsynth_gen::procedural::ProceduralConfig;
@@ -122,7 +122,7 @@ fn enterprise_corpus_synthesizes_high_precision_mappings() {
         families: 20,
         ..Default::default()
     });
-    let out = Pipeline::new(PipelineConfig::default()).run(&ec.corpus);
+    let out = SynthesisSession::new(PipelineConfig::default()).run(&ec.corpus);
     assert!(out.mappings.len() > 20);
     // Multi-table clusters must exist (synthesis happened).
     assert!(out.mappings.iter().any(|m| m.source_tables >= 5));
