@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mapsynth::blocking::candidate_pairs;
 use mapsynth::compat::{match_counts, ScoringContext};
-use mapsynth::graph::build_graph;
+use mapsynth::graph::graph_from_scores;
 use mapsynth::values::build_value_space;
 use mapsynth::SynthesisConfig;
 use mapsynth_bench::bench_corpus;
@@ -76,8 +76,13 @@ fn scoring(c: &mut Criterion) {
         })
     });
     // End to end: blocking + context build + scoring + filter.
-    g.bench_function("build_graph", |b| {
-        b.iter(|| build_graph(&space, &tables, &cfg, &mr).edges.len())
+    g.bench_function("blocked_scored_graph", |b| {
+        b.iter(|| {
+            let (pairs, _) = candidate_pairs(&space, &tables, &cfg, &mr);
+            let ctx = ScoringContext::build(&space, &tables, &cfg, &mr);
+            let scored = mr.par_map(&pairs, |&(x, y)| (x, y, ctx.score_pair(&space, x, y)));
+            graph_from_scores(tables.len(), &scored, &cfg).edges.len()
+        })
     });
     g.finish();
 }

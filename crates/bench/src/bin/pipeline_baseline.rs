@@ -8,11 +8,10 @@
 //! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --check BENCH_pipeline.json
 //! # corpus scale tier: growth-curve points up to N tables
 //! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --tables 30000 BENCH_scale.json
-//! # explicit point list instead of the default N/4, N/2, N, with the
-//! # sharded builds spilling shard artifacts to disk:
-//! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --tables 100000 --points 600,7500,15000,30000,100000 --spill BENCH_scale.json
+//! # explicit point list instead of the default N/4, N/2, N:
+//! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --tables 100000 --points 600,7500,15000,30000,100000 BENCH_scale.json
 //! # verify one committed scale point (CI growth-curve gate):
-//! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --tables 600 --check BENCH_scale.json --spill
+//! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --tables 600 --check BENCH_scale.json
 //! # fault-injection tier: deterministic stream with planned malformed
 //! # deltas, induced apply panics and publish failures:
 //! cargo run --release -p mapsynth-bench --bin pipeline_baseline -- --delta-stream --faults BENCH_fault.json
@@ -271,13 +270,13 @@ fn scale_point_block(json: &str, tables: usize) -> Option<&str> {
 /// `ceil_memo_candidate_pairs`, `ceil_memo_dp_calls`,
 /// `ceil_coh_list_probes`) and the margin-carrying wall-clock
 /// ceilings (`ceil_extraction_ms`, `ceil_blocking_ms`).
-fn check_scale_point(tables: usize, path: &str, spill: bool) -> ! {
+fn check_scale_point(tables: usize, path: &str) -> ! {
     let committed = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read scale baseline {path}: {e}"));
     let block = scale_point_block(&committed, tables)
         .unwrap_or_else(|| panic!("no committed scale point with \"tables\": {tables} in {path}"));
 
-    let p = measure_scale_point(tables, spill);
+    let p = measure_scale_point(tables);
     let mut drifted = false;
     let exact = [
         ("candidates", p.candidates as i64),
@@ -982,7 +981,7 @@ struct ScalePoint {
     vmhwm_peak_mb: f64,
     /// `VmRSS` when the run finished — unlike the watermarks this
     /// drops as stages release memory, so peak − end is the
-    /// transient (spillable) share of the footprint.
+    /// transient share of the footprint.
     vmrss_end_mb: f64,
 }
 
@@ -996,26 +995,16 @@ const MS_CEILING_MARGIN: f64 = 4.0;
 /// materialized — the whole reason peak RSS stays sublinear), run the
 /// streaming prepare with the stage probe sampling `VmHWM`, then the
 /// synthesis tail. Serving/delta stages are skipped: this tier is
-/// about how extraction, blocking, and the match memo *grow*. With
-/// `spill`, the sharded value-space and blocking builds stream their
-/// shard artifacts through a temp directory (bit-identical outputs;
-/// only the RSS watermarks move).
-fn measure_scale_point(tables: usize, spill: bool) -> ScalePoint {
+/// about how extraction, blocking, and the match memo *grow*.
+fn measure_scale_point(tables: usize) -> ScalePoint {
     let mb = |kb: u64| kb as f64 / 1024.0;
     let rss_start = peak_rss_kb();
     let mut stream = bench_stream(tables);
-    let mut cfg = PipelineConfig::default();
-    let spill_dir = spill
-        .then(|| std::env::temp_dir().join(format!("mapsynth-scale-spill-{}", std::process::id())));
-    cfg.spill_dir = spill_dir.clone();
-    let mut session = SynthesisSession::new(cfg);
+    let mut session = SynthesisSession::new(PipelineConfig::default());
     let mut stage_rss: Vec<(&'static str, u64)> = Vec::new();
     session.prepare_streaming_with(&mut stream, |stage| stage_rss.push((stage, peak_rss_kb())));
     let run = session.synthesize(&session.config().synthesis.clone(), Resolver::Algorithm4);
     let peak = peak_rss_kb();
-    if let Some(dir) = &spill_dir {
-        std::fs::remove_dir_all(dir).ok();
-    }
 
     let rss_of = |stage: &str| {
         stage_rss
@@ -1051,11 +1040,10 @@ fn measure_scale_point(tables: usize, spill: bool) -> ScalePoint {
         vmrss_end_mb: mb(mapsynth_bench::current_rss_kb()),
     };
     eprintln!(
-        "scale {} tables{}: {} blocked pairs, {} memo candidate pairs, {} dp calls, \
+        "scale {} tables: {} blocked pairs, {} memo candidate pairs, {} dp calls, \
          {} sketch rejects / {} list probes, extraction {:.1}ms, blocking {:.1}ms, \
          peak rss {:.1}MB",
         tables,
-        if spill { " (spill)" } else { "" },
         point.blocking_pairs,
         point.memo.candidate_pairs,
         point.memo.dp_calls,
@@ -1112,17 +1100,13 @@ fn render_point(p: &ScalePoint) -> String {
 /// The scale tier driver: one child process per point (so each point's
 /// `VmHWM` watermark is its own, not inherited from a bigger earlier
 /// point), assembling the children's stdout blocks into `scale_detail`.
-fn scale_stage(points: &[usize], spill: bool) -> Vec<String> {
+fn scale_stage(points: &[usize]) -> Vec<String> {
     let exe = std::env::current_exe().expect("current_exe");
     points
         .iter()
         .map(|&tables| {
-            let mut args = vec!["--scale-point".to_string(), tables.to_string()];
-            if spill {
-                args.push("--spill".to_string());
-            }
             let out = std::process::Command::new(&exe)
-                .args(&args)
+                .args(["--scale-point", &tables.to_string()])
                 .output()
                 .expect("spawn scale-point child");
             std::io::Write::write_all(&mut std::io::stderr(), &out.stderr).ok();
@@ -1148,8 +1132,7 @@ fn main() {
             .get(1)
             .and_then(|v| v.parse().ok())
             .expect("--scale-point needs a corpus size");
-        let spill = args.get(2).map(String::as_str) == Some("--spill");
-        let p = measure_scale_point(tables, spill);
+        let p = measure_scale_point(tables);
         print!("{}", render_point(&p));
         return;
     }
@@ -1210,7 +1193,6 @@ fn main() {
         let mut points: Option<Vec<usize>> = None;
         let mut check: Option<String> = None;
         let mut out: Option<String> = None;
-        let mut spill = false;
         let mut i = 2;
         while i < args.len() {
             match args[i].as_str() {
@@ -1225,16 +1207,11 @@ fn main() {
                     i += 2;
                 }
                 "--check" => {
-                    check = Some(
-                        args.get(i + 1)
-                            .cloned()
-                            .unwrap_or_else(|| "BENCH_scale.json".to_string()),
-                    );
-                    i += 2;
-                }
-                "--spill" => {
-                    spill = true;
-                    i += 1;
+                    // The path is optional: a following flag is not it.
+                    let path = args.get(i + 1).filter(|a| !a.starts_with("--"));
+                    i += 1 + usize::from(path.is_some());
+                    check =
+                        Some(path.map_or_else(|| "BENCH_scale.json".to_string(), String::clone));
                 }
                 other => {
                     out = Some(other.to_string());
@@ -1243,7 +1220,7 @@ fn main() {
             }
         }
         if let Some(path) = check {
-            check_scale_point(max_tables, &path, spill);
+            check_scale_point(max_tables, &path);
         }
         let points = points.unwrap_or_else(|| {
             [max_tables / 4, max_tables / 2, max_tables]
@@ -1251,7 +1228,7 @@ fn main() {
                 .filter(|&t| t > 0)
                 .collect()
         });
-        let rows = scale_stage(&points, spill);
+        let rows = scale_stage(&points);
         let json = scale_json(max_tables, &rows);
         match out {
             Some(path) => {

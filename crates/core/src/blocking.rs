@@ -13,10 +13,8 @@
 
 use crate::config::SynthesisConfig;
 use crate::values::{NormBinary, ValueSpace};
-use mapsynth_corpus::{SpillReader, SpillWriter};
 use mapsynth_mapreduce::{partition_of, MapReduce};
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 
 /// Statistics from blocking, used by the scalability experiments.
 #[derive(Clone, Copy, Debug, Default)]
@@ -52,15 +50,14 @@ const HUB_SAMPLE: usize = 12;
 /// `θ_overlap` left-value keys.
 ///
 /// Thin wrapper over [`BlockingIndex::build_sharded`] (one shard per
-/// worker, nothing spilled) that discards the reusable index state.
+/// worker) that discards the reusable index state.
 pub fn candidate_pairs(
     space: &ValueSpace,
     tables: &[NormBinary],
     cfg: &SynthesisConfig,
     mr: &MapReduce,
 ) -> (Vec<(u32, u32)>, BlockingStats) {
-    let (_, pairs, stats) =
-        BlockingIndex::build_sharded(space, tables, cfg, mr, mr.workers(), None);
+    let (_, pairs, stats) = BlockingIndex::build_sharded(space, tables, cfg, mr, mr.workers());
     (pairs, stats)
 }
 
@@ -117,46 +114,6 @@ type ShardOut = (
     HashMap<(u32, u32, u8), u32>,
 );
 
-/// Spill encoding of a shard's output as two word streams. Postings:
-/// `[kind, key1, key2, len, tis…]` per entry; pair counts:
-/// `[a, b, kind, count]` per entry. Entry order is irrelevant — the
-/// stitch inserts into hash maps, and every consumer of the maps
-/// orders its own output — so the nondeterministic map iteration here
-/// cannot leak into results.
-fn encode_shard(out: &ShardOut) -> (Vec<u32>, Vec<u32>) {
-    let (postings, pair_counts) = out;
-    let mut p = Vec::new();
-    for ((kind, a, b), tis) in postings {
-        p.extend([*kind as u32, *a, *b, tis.len() as u32]);
-        p.extend_from_slice(tis);
-    }
-    let mut c = Vec::with_capacity(pair_counts.len() * 4);
-    for ((a, b, kind), n) in pair_counts {
-        c.extend([*a, *b, *kind as u32, *n]);
-    }
-    (p, c)
-}
-
-fn decode_shard(p: &[u32], c: &[u32]) -> ShardOut {
-    let mut postings = HashMap::new();
-    let mut i = 0;
-    while i < p.len() {
-        assert!(i + 4 <= p.len(), "corrupt blocking spill: truncated entry");
-        let (kind, a, b) = (p[i] as u8, p[i + 1], p[i + 2]);
-        let len = p[i + 3] as usize;
-        i += 4;
-        assert!(i + len <= p.len(), "corrupt blocking spill: short list");
-        postings.insert((kind, a, b), p[i..i + len].to_vec());
-        i += len;
-    }
-    assert_eq!(c.len() % 4, 0, "corrupt blocking spill: odd count frame");
-    let pair_counts = c
-        .chunks_exact(4)
-        .map(|e| ((e[0], e[1], e[2] as u8), e[3]))
-        .collect();
-    (postings, pair_counts)
-}
-
 /// The maintained blocking state: the inverted index (key → posting
 /// list over live table indices) plus per-pair shared-key counts —
 /// everything needed to re-derive the qualifying candidate-pair set
@@ -196,19 +153,12 @@ impl BlockingIndex {
     /// exactly the content the unsharded reference
     /// ([`build_unsharded`](Self::build_unsharded)) produces, for any
     /// shard or worker count.
-    ///
-    /// When `spill` names a directory, each shard streams its posting
-    /// lists and pair counts through the binary spill format and drops
-    /// them before the stitch re-reads shards one at a time, bounding
-    /// residency by the largest shard. Spill files are deleted as they
-    /// are consumed; output is bit-identical to the in-memory build.
     pub fn build_sharded(
         space: &ValueSpace,
         tables: &[NormBinary],
         cfg: &SynthesisConfig,
         mr: &MapReduce,
         shards: usize,
-        spill: Option<&Path>,
     ) -> (Self, Vec<(u32, u32)>, BlockingStats) {
         let shards = shards.max(1);
         // Stage 1 — per-table blocking keys, in parallel
@@ -226,11 +176,8 @@ impl BlockingIndex {
         drop(keys_per_table);
         let sizes: Vec<u32> = tables.iter().map(|t| t.len() as u32).collect();
         // Stage 3 — per-shard posting lists and pair contributions.
-        // The shard body is shared verbatim by the in-memory and
-        // spilling paths — that sharing is what keeps them
-        // bit-identical.
         let sizes_ref = &sizes;
-        let shard_out = |bucket: &ShardBucket| -> ShardOut {
+        let shard_outs: Vec<ShardOut> = mr.par_map(&buckets, |bucket| {
             let mut postings: HashMap<(u8, u32, u32), Vec<u32>> = HashMap::new();
             for &(k, ti) in bucket {
                 // ti arrives ascending per key; a table emits each key
@@ -246,61 +193,15 @@ impl BlockingIndex {
                 *pair_counts.entry(p).or_insert(0) += 1;
             }
             (postings, pair_counts)
-        };
+        });
         // Stage 4 — stitch: disjoint postings concatenate, pair counts
         // sum across shards.
         let mut postings: HashMap<(u8, u32, u32), Vec<u32>> = HashMap::new();
         let mut pair_counts: HashMap<(u32, u32, u8), u32> = HashMap::new();
-        let mut stitch = |(p, c): ShardOut| {
+        for (p, c) in shard_outs {
             postings.extend(p);
             for (pair, n) in c {
                 *pair_counts.entry(pair).or_insert(0) += n;
-            }
-        };
-        match spill {
-            None => {
-                for out in mr.par_map(&buckets, |bucket| shard_out(bucket)) {
-                    stitch(out);
-                }
-            }
-            Some(dir) => {
-                std::fs::create_dir_all(dir).expect("spill directory must be creatable");
-                let paths: Vec<PathBuf> = (0..shards)
-                    .map(|s| dir.join(format!("blocking-shard-{s}.spill")))
-                    .collect();
-                let paths_ref = &paths;
-                let buckets_ref = &buckets;
-                let shard_ids: Vec<usize> = (0..shards).collect();
-                // Each worker writes its shard's two frames (postings,
-                // pair counts) and drops them before returning.
-                let written: Vec<std::io::Result<()>> = mr.par_map(&shard_ids, |&s| {
-                    let out = shard_out(&buckets_ref[s]);
-                    let (p, c) = encode_shard(&out);
-                    drop(out);
-                    let mut w = SpillWriter::create(&paths_ref[s])?;
-                    w.write_frame(&p)?;
-                    w.write_frame(&c)?;
-                    w.finish()
-                });
-                for r in written {
-                    r.expect("blocking shard spill failed");
-                }
-                drop(buckets);
-                // Stream shards back one at a time, deleting each file
-                // once consumed.
-                for path in &paths {
-                    let mut r = SpillReader::open(path).expect("blocking spill file must reopen");
-                    let p = r
-                        .next_frame()
-                        .expect("blocking spill read failed")
-                        .expect("blocking spill file missing its postings frame");
-                    let c = r
-                        .next_frame()
-                        .expect("blocking spill read failed")
-                        .expect("blocking spill file missing its pair-count frame");
-                    stitch(decode_shard(&p, &c));
-                    std::fs::remove_file(path).ok();
-                }
             }
         }
         let index = Self {
@@ -694,7 +595,7 @@ mod tests {
                 BlockingIndex::build_unsharded(&space, &t, &cfg, &mr);
             for shards in [1usize, 2, 8] {
                 let (index, pairs, stats) =
-                    BlockingIndex::build_sharded(&space, &t, &cfg, &mr, shards, None);
+                    BlockingIndex::build_sharded(&space, &t, &cfg, &mr, shards);
                 assert_eq!(pairs, ref_pairs, "workers {workers} shards {shards}");
                 assert_eq!(stats.pairs, ref_stats.pairs);
                 assert_eq!(stats.pos_keys, ref_stats.pos_keys);
@@ -705,44 +606,6 @@ mod tests {
                 assert_eq!(index.sizes, ref_index.sizes);
             }
         }
-    }
-
-    /// The spilling build (shards written to disk and streamed back at
-    /// stitch) must reproduce the in-memory build's full stored state
-    /// for every shard count, hot keys included.
-    #[test]
-    fn spilled_build_matches_in_memory() {
-        let small = vec![("hot", "1"), ("hot2", "2")];
-        let mut rows: Vec<Vec<(&str, &str)>> = (0..12).map(|_| small.clone()).collect();
-        rows.push(vec![("hot", "1"), ("hot2", "2"), ("x", "3"), ("y", "4")]);
-        rows.push(vec![("hot", "1"), ("x", "3"), ("y", "4"), ("z", "5")]);
-        rows.push(vec![("p", "7"), ("q", "8")]);
-        rows.push(vec![("p", "7"), ("q", "8"), ("r", "9")]);
-        let (space, t) = setup(rows);
-        let cfg = SynthesisConfig {
-            max_key_fanout: 4,
-            ..Default::default()
-        };
-        let mr = MapReduce::new(2);
-        let dir = std::env::temp_dir().join(format!(
-            "mapsynth-blocking-spill-test-{}",
-            std::process::id()
-        ));
-        for shards in [1usize, 2, 8] {
-            let (ref_index, ref_pairs, ref_stats) =
-                BlockingIndex::build_sharded(&space, &t, &cfg, &mr, shards, None);
-            let (index, pairs, stats) =
-                BlockingIndex::build_sharded(&space, &t, &cfg, &mr, shards, Some(&dir));
-            assert_eq!(pairs, ref_pairs, "shards {shards}");
-            assert_eq!(stats.pairs, ref_stats.pairs);
-            assert_eq!(stats.capped_keys, ref_stats.capped_keys);
-            assert_eq!(index.postings, ref_index.postings);
-            assert_eq!(index.pair_counts, ref_index.pair_counts);
-            assert_eq!(index.sizes, ref_index.sizes);
-            let leftover = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-            assert_eq!(leftover, 0, "spill files must be deleted after the stitch");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A sharded-built index feeds the delta path exactly like the
@@ -763,7 +626,7 @@ mod tests {
         let (fresh, fresh_pairs, _) = BlockingIndex::build_unsharded(&space, &t, &cfg, &mr);
         for shards in [1usize, 2, 8] {
             let (mut index, _, _) =
-                BlockingIndex::build_sharded(&space, &t[..3], &cfg, &mr, shards, None);
+                BlockingIndex::build_sharded(&space, &t[..3], &cfg, &mr, shards);
             index.sizes.resize(t.len(), 0);
             let (pairs, _) = index.apply_delta(&space, &t, &[3, 4], &[], &cfg);
             assert_eq!(pairs, fresh_pairs, "shards {shards}");

@@ -381,10 +381,10 @@ pub mod fault {
 }
 
 /// A table in portable (content, not id) form: everything needed to
-/// re-push it into any corpus. Shape-identical to the serving layer's
-/// key-addressed table spec; lives here so the durable formats (delta
-/// WAL records, snapshot archives) can be decoded without the serving
-/// crate.
+/// re-push it into any corpus. The serving layer's key-addressed
+/// request types are aliases of these; they live here so the durable
+/// formats (delta WAL records, snapshot archives) can be decoded
+/// without the serving crate.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PortableTable {
     /// Caller-chosen stable identity (survives compaction renumbering).
@@ -831,7 +831,6 @@ impl SynthesisSession {
                 &self.synonyms,
                 &self.mr,
                 self.mr.workers(),
-                None,
             );
             let replaced_proj: Vec<(u32, Option<NormBinary>)> = ex
                 .replaced
@@ -1073,7 +1072,6 @@ impl SynthesisSession {
             &self.synonyms,
             &self.mr,
             self.mr.workers(),
-            None,
         );
         let tables = project_candidates(&space, &incr.interning, &candidates, 0, &self.mr);
         report.new_values += space.len() - old_values.space.len();

@@ -1,15 +1,12 @@
 //! The compatibility graph `G = (B, E)` (paper §4.2).
 //!
 //! Vertices are candidate tables; edges carry positive and negative
-//! weights. Construction scores blocked candidate pairs in parallel,
-//! then keeps an edge only if its positive weight clears `θ_edge` or
-//! its negative weight breaches the hard-constraint threshold `τ`.
+//! weights. Construction takes the scored blocked candidate pairs and
+//! keeps an edge only if its positive weight clears `θ_edge` or its
+//! negative weight breaches the hard-constraint threshold `τ`.
 
-use crate::blocking::{candidate_pairs, BlockingStats};
-use crate::compat::ScoringContext;
+use crate::blocking::BlockingStats;
 use crate::config::SynthesisConfig;
-use crate::values::{NormBinary, ValueSpace};
-use mapsynth_mapreduce::MapReduce;
 
 /// Edge weights.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -64,23 +61,6 @@ impl CompatGraph {
     }
 }
 
-/// Build the compatibility graph: block, build the shared
-/// [`ScoringContext`] (table views + approximate-match memo) once,
-/// score all blocked pairs in parallel off it, filter.
-pub fn build_graph(
-    space: &ValueSpace,
-    tables: &[NormBinary],
-    cfg: &SynthesisConfig,
-    mr: &MapReduce,
-) -> CompatGraph {
-    let (pairs, blocking) = candidate_pairs(space, tables, cfg, mr);
-    let ctx = ScoringContext::build(space, tables, cfg, mr);
-    let scored = mr.par_map(&pairs, |&(a, b)| (a, b, ctx.score_pair(space, a, b)));
-    let mut g = graph_from_scores(tables.len(), &scored, cfg);
-    g.blocking = blocking;
-    g
-}
-
 /// Build the graph from pre-scored pairs (evaluation harnesses share
 /// one scoring pass across Synthesis and the schema-matching
 /// baselines, which use the same signals).
@@ -107,7 +87,10 @@ pub fn graph_from_scores(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::values::build_value_space;
+    use crate::blocking::candidate_pairs;
+    use crate::compat::ScoringContext;
+    use crate::pipeline::{PipelineConfig, SynthesisSession};
+    use crate::values::{build_value_space, NormBinary, ValueSpace};
     use mapsynth_corpus::{BinaryId, BinaryTable, Corpus, TableId};
     use mapsynth_mapreduce::MapReduce;
     use mapsynth_text::SynonymDict;
@@ -134,6 +117,20 @@ mod tests {
         )
     }
 
+    /// Block and score `tables`, then filter: the session's graph
+    /// stage over hand-built candidates.
+    fn scored_graph(
+        space: &ValueSpace,
+        tables: &[NormBinary],
+        cfg: &SynthesisConfig,
+        mr: &MapReduce,
+    ) -> CompatGraph {
+        let (pairs, _) = candidate_pairs(space, tables, cfg, mr);
+        let ctx = ScoringContext::build(space, tables, cfg, mr);
+        let scored = mr.par_map(&pairs, |&(a, b)| (a, b, ctx.score_pair(space, a, b)));
+        graph_from_scores(tables.len(), &scored, cfg)
+    }
+
     #[test]
     fn graph_keeps_strong_pos_and_hard_neg() {
         let (space, t) = setup(vec![
@@ -145,7 +142,7 @@ mod tests {
             // 3: weak overlap with 0 (2/4 = 0.5 < θ_edge) → filtered
             vec![("a", "1"), ("b", "2"), ("x", "5"), ("y", "6")],
         ]);
-        let g = build_graph(&space, &t, &SynthesisConfig::default(), &MapReduce::new(2));
+        let g = scored_graph(&space, &t, &SynthesisConfig::default(), &MapReduce::new(2));
         assert_eq!(g.n, 4);
         let find = |a: u32, b: u32| g.edges.iter().find(|&&(x, y, _)| (x, y) == (a, b));
         let e01 = find(0, 1).expect("identical tables edge");
@@ -165,7 +162,7 @@ mod tests {
             vec![("a", "1"), ("b", "2"), ("c", "3")],
             vec![("a", "9"), ("b", "8"), ("c", "7")],
         ]);
-        let g = build_graph(
+        let g = scored_graph(
             &space,
             &t,
             &SynthesisConfig::default().without_negative(),
@@ -174,21 +171,35 @@ mod tests {
         assert_eq!(g.edges.len(), 0);
     }
 
+    /// The session's graph is the same for any worker count.
     #[test]
     fn deterministic_across_workers() {
-        let rows: Vec<Vec<(&str, &str)>> = (0..6)
-            .map(|i| {
-                vec![
-                    ("a", "1"),
-                    ("b", "2"),
-                    ("c", "3"),
-                    if i % 2 == 0 { ("d", "4") } else { ("e", "5") },
-                ]
-            })
-            .collect();
-        let (space, t) = setup(rows);
-        let g1 = build_graph(&space, &t, &SynthesisConfig::default(), &MapReduce::new(1));
-        let g8 = build_graph(&space, &t, &SynthesisConfig::default(), &MapReduce::new(8));
+        let mut corpus = Corpus::new();
+        for i in 0..6 {
+            let d = corpus.domain(&format!("site-{i}.org"));
+            let last = if i % 2 == 0 { ("f", "6") } else { ("g", "7") };
+            let rows = [
+                ("a", "1"),
+                ("b", "2"),
+                ("c", "3"),
+                ("d", "4"),
+                ("e", "5"),
+                last,
+            ];
+            let (l, r): (Vec<&str>, Vec<&str>) = rows.iter().cloned().unzip();
+            corpus.push_table(d, vec![(Some("name"), l), (Some("code"), r)]);
+        }
+        let graph_with = |workers: usize| {
+            let mut session = SynthesisSession::new(PipelineConfig {
+                workers,
+                ..Default::default()
+            });
+            session.prepare(&corpus);
+            session.graph(&SynthesisConfig::default())
+        };
+        let g1 = graph_with(1);
+        let g8 = graph_with(8);
+        assert!(!g1.edges.is_empty());
         assert_eq!(g1.edges.len(), g8.edges.len());
         for (a, b) in g1.edges.iter().zip(&g8.edges) {
             assert_eq!(a.0, b.0);

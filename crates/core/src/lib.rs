@@ -107,9 +107,7 @@ pub use delta::{
 };
 pub use graph::{CompatGraph, EdgeWeights};
 pub use partition::{greedy_partition, Partitioning};
-pub use pipeline::{
-    synthesize_from, synthesize_graph, PipelineConfig, PipelineOutput, Resolver, StageTimings,
-};
+pub use pipeline::{PipelineConfig, PipelineOutput, Resolver, StageTimings};
 pub use session::{
     ExtractionArtifact, ScoreArtifact, ScoringDetail, SessionRun, SynthesisSession, ValueArtifact,
 };

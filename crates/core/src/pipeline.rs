@@ -14,14 +14,8 @@ pub use crate::session::{
 };
 
 use crate::config::SynthesisConfig;
-use crate::graph::build_graph;
-use crate::partition::partition_by_components;
-use crate::session::resolve_and_union;
 use crate::synth::SynthesizedMapping;
-use crate::values::ValueSpace;
 use mapsynth_extract::{ExtractionConfig, ExtractionStats};
-use mapsynth_mapreduce::MapReduce;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Pipeline configuration.
@@ -37,13 +31,6 @@ pub struct PipelineConfig {
     /// above which [`SynthesisSession::compaction_due`] reports that a
     /// [`SynthesisSession::compact`] pass would pay off.
     pub compact_threshold: f64,
-    /// When set, the sharded value-space and blocking builds spill
-    /// each shard's artifacts to files under this directory and stream
-    /// them back at stitch time, bounding peak residency by the
-    /// largest single shard. Output is bit-identical to the in-memory
-    /// builds; spill files are deleted as they are consumed. Delta
-    /// (incremental) paths never spill — their inputs are small.
-    pub spill_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for PipelineConfig {
@@ -53,7 +40,6 @@ impl Default for PipelineConfig {
             synthesis: SynthesisConfig::default(),
             workers: 0,
             compact_threshold: 0.5,
-            spill_dir: None,
         }
     }
 }
@@ -103,38 +89,6 @@ pub enum Resolver {
     MajorityVote,
     /// No conflict resolution.
     None,
-}
-
-/// Run partitioning + conflict resolution + union + curation ranking
-/// on a pre-built compatibility graph.
-pub fn synthesize_graph(
-    space: &Arc<ValueSpace>,
-    tables: &[crate::values::NormBinary],
-    graph: &crate::graph::CompatGraph,
-    cfg: &SynthesisConfig,
-    resolver: Resolver,
-    mr: &MapReduce,
-) -> Vec<SynthesizedMapping> {
-    let partitioning = partition_by_components(graph, cfg, mr);
-    resolve_and_union(space, tables, partitioning, resolver, mr)
-}
-
-/// Run steps 2–3 (graph, partitioning, conflict resolution, union,
-/// curation ranking) on an already-built value space, for evaluation
-/// harnesses that share one extraction across many methods.
-pub fn synthesize_from(
-    space: &Arc<ValueSpace>,
-    tables: &[crate::values::NormBinary],
-    cfg: &SynthesisConfig,
-    mr: &MapReduce,
-) -> Vec<SynthesizedMapping> {
-    let graph = build_graph(space, tables, cfg, mr);
-    let resolver = if cfg.resolve_conflicts {
-        Resolver::Algorithm4
-    } else {
-        Resolver::None
-    };
-    synthesize_graph(space, tables, &graph, cfg, resolver, mr)
 }
 
 #[cfg(test)]
@@ -244,35 +198,6 @@ mod tests {
         assert!(out.edges > 0);
         assert!(out.timings.total >= out.timings.partition);
         assert!(out.partitions >= 2);
-    }
-
-    #[test]
-    fn spilling_pipeline_is_bit_identical() {
-        let corpus = two_standard_corpus();
-        let base = SynthesisSession::new(PipelineConfig::default()).run(&corpus);
-
-        let dir = std::env::temp_dir().join(format!("mapsynth-spill-pipe-{}", std::process::id()));
-        let cfg = PipelineConfig {
-            spill_dir: Some(dir.clone()),
-            ..Default::default()
-        };
-        let spilled = SynthesisSession::new(cfg).run(&corpus);
-
-        assert_eq!(base.candidates, spilled.candidates);
-        assert_eq!(base.edges, spilled.edges);
-        assert_eq!(base.negative_edges, spilled.negative_edges);
-        assert_eq!(base.partitions, spilled.partitions);
-        assert_eq!(base.mappings.len(), spilled.mappings.len());
-        for (a, b) in base.mappings.iter().zip(&spilled.mappings) {
-            assert_eq!(
-                a.pair_strs().collect::<Vec<_>>(),
-                b.pair_strs().collect::<Vec<_>>()
-            );
-        }
-        // Every spill file was consumed (deleted at stitch time).
-        let leftover = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-        assert_eq!(leftover, 0, "spill files must be deleted after use");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -342,7 +342,6 @@ impl SynthesisSession {
             &self.synonyms,
             &self.mr,
             self.mr.workers(),
-            self.cfg.spill_dir.as_deref(),
         );
         let pos_of_candidate = positions_of_candidates(extraction.candidates.len(), &tables);
         let dead = vec![false; tables.len()];
@@ -357,14 +356,8 @@ impl SynthesisSession {
         let space = &values.space;
         let tables = &values.tables;
         let cfg = &self.cfg.synthesis;
-        let (blocking_index, pairs, blocking) = BlockingIndex::build_sharded(
-            space,
-            tables,
-            cfg,
-            &self.mr,
-            self.mr.workers(),
-            self.cfg.spill_dir.as_deref(),
-        );
+        let (blocking_index, pairs, blocking) =
+            BlockingIndex::build_sharded(space, tables, cfg, &self.mr, self.mr.workers());
         let blocking_time = t.elapsed();
 
         // Shared scoring state: per-table sorted views + the
@@ -644,19 +637,12 @@ impl SynthesisSession {
             &self.synonyms,
             &self.mr,
             self.mr.workers(),
-            self.cfg.spill_dir.as_deref(),
         );
 
         // Stage 3a rebuilt outright (postings of dead tables vanish).
         let cfg = &self.cfg.synthesis;
-        let (blocking_index, pairs, blocking_stats) = BlockingIndex::build_sharded(
-            &space,
-            &tables,
-            cfg,
-            &self.mr,
-            self.mr.workers(),
-            self.cfg.spill_dir.as_deref(),
-        );
+        let (blocking_index, pairs, blocking_stats) =
+            BlockingIndex::build_sharded(&space, &tables, cfg, &self.mr, self.mr.workers());
 
         // Stage 3b: fresh views, memo compacted through the old → new
         // value map — a string-keyed lookup, so values surviving via
@@ -833,10 +819,9 @@ impl SynthesisSession {
     }
 }
 
-/// Shared variant tail: conflict-resolve each partition group, union,
-/// curation-rank. Used by the session and by
-/// [`crate::pipeline::synthesize_graph`].
-pub(crate) fn resolve_and_union(
+/// The variant tail: conflict-resolve each partition group, union,
+/// curation-rank.
+fn resolve_and_union(
     space: &Arc<ValueSpace>,
     tables: &[NormBinary],
     partitioning: Partitioning,

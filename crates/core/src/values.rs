@@ -11,11 +11,10 @@
 //! * a [`NormBinary`] per candidate: its deduplicated `(left, right)`
 //!   class pairs plus the original strings for approximate matching.
 
-use mapsynth_corpus::{BinaryTable, Interner, SpillReader, SpillWriter, Sym};
+use mapsynth_corpus::{BinaryTable, Interner, Sym};
 use mapsynth_mapreduce::{partition_of, MapReduce};
 use mapsynth_text::{normalize, CharSignature, SynonymDict};
 use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Dense id of a distinct normalized string.
@@ -197,7 +196,7 @@ impl ValueInterning {
 /// source, [`TableSource::interner`](mapsynth_corpus::TableSource)).
 ///
 /// This is [`build_value_space_sharded`] with one dedup shard per
-/// worker, nothing spilled, and the interning state dropped.
+/// worker and the interning state dropped.
 pub fn build_value_space(
     strs: &Interner,
     candidates: &[BinaryTable],
@@ -205,31 +204,24 @@ pub fn build_value_space(
     mr: &MapReduce,
 ) -> (Arc<ValueSpace>, Vec<NormBinary>) {
     let (space, tables, _) =
-        build_value_space_sharded(strs, candidates, synonyms, mr, mr.workers(), None);
+        build_value_space_sharded(strs, candidates, synonyms, mr, mr.workers());
     (space, tables)
 }
 
 /// The value-space build: [`build_value_space`] with an explicit shard
-/// count for the normalized-value deduplication and optional shard
-/// spilling, returning also the [`ValueInterning`] state that
-/// [`grow_value_space`] needs to extend the space under corpus deltas.
+/// count for the normalized-value deduplication, returning also the
+/// [`ValueInterning`] state that [`grow_value_space`] needs to extend
+/// the space under corpus deltas.
 ///
 /// The output is bit-identical for every `shards ≥ 1` (shard-count
 /// invariance is a tested contract); the parameter only controls how
-/// the dedup work is partitioned. When `spill` names a directory, each
-/// dedup shard streams its output through the binary spill format
-/// ([`SpillWriter`]) and drops it before the stitch re-reads shards one
-/// at a time — bounding the build's residency by the largest single
-/// shard instead of the sum of all of them. The spill files are deleted
-/// as they are consumed, and the output is bit-identical to the
-/// in-memory build.
+/// the dedup work is partitioned.
 pub fn build_value_space_sharded(
     strs: &Interner,
     candidates: &[BinaryTable],
     synonyms: &SynonymDict,
     mr: &MapReduce,
     shards: usize,
-    spill: Option<&Path>,
 ) -> (Arc<ValueSpace>, Vec<NormBinary>, ValueInterning) {
     let mut interning = ValueInterning::default();
     let space = grow_value_space(
@@ -240,7 +232,6 @@ pub fn build_value_space_sharded(
         synonyms,
         mr,
         shards,
-        spill,
     );
     let tables = project_candidates(&space, &interning, candidates, 0, mr);
     (space, tables, interning)
@@ -257,10 +248,8 @@ pub fn build_value_space_sharded(
 /// added candidates at appended ones, and a renumbered list wholesale
 /// ([`project_candidates`]). The build is this from the empty space.
 ///
-/// `shards` and `spill` are those of [`build_value_space_sharded`] and
-/// as invisible in the output; delta-sized inputs pass `None` — their
-/// shard outputs are tiny relative to the space being copied.
-#[allow(clippy::too_many_arguments)]
+/// `shards` is that of [`build_value_space_sharded`] and as invisible
+/// in the output.
 pub fn grow_value_space(
     space: &ValueSpace,
     interning: &mut ValueInterning,
@@ -269,7 +258,6 @@ pub fn grow_value_space(
     synonyms: &SynonymDict,
     mr: &MapReduce,
     shards: usize,
-    spill: Option<&Path>,
 ) -> Arc<ValueSpace> {
     let mut strings = space.strings.clone();
     let mut class = space.class.clone();
@@ -280,7 +268,6 @@ pub fn grow_value_space(
         synonyms,
         mr,
         shards,
-        spill,
         interning,
         &mut strings,
         &mut class,
@@ -313,60 +300,6 @@ enum SymRes {
     New(u32),
 }
 
-/// Spill encoding of a resolution list: `(tag, value)` word pairs.
-fn encode_res(res: &[SymRes]) -> Vec<u32> {
-    let mut out = Vec::with_capacity(res.len() * 2);
-    for r in res {
-        match r {
-            SymRes::Known(id) => out.extend([0, id.0]),
-            SymRes::New(li) => out.extend([1, *li]),
-        }
-    }
-    out
-}
-
-fn decode_res(words: &[u32]) -> Vec<SymRes> {
-    assert_eq!(words.len() % 2, 0, "corrupt spill frame: odd word count");
-    words
-        .chunks_exact(2)
-        .map(|c| match c[0] {
-            0 => SymRes::Known(NormId(c[1])),
-            1 => SymRes::New(c[1]),
-            t => panic!("corrupt spill frame: unknown resolution tag {t}"),
-        })
-        .collect()
-}
-
-/// Where the shards' resolution lists live between the dedup pass and
-/// the final symbol-resolution walk: in memory, or spilled to disk.
-enum ResSource {
-    Mem(Vec<Vec<SymRes>>),
-    Disk(Vec<PathBuf>),
-}
-
-impl ResSource {
-    /// The resolutions of shard `s`, consumed — the disk variant
-    /// re-reads and then deletes the shard's spill file, so at most one
-    /// shard's resolutions are resident at a time.
-    fn take(&mut self, s: usize) -> Vec<SymRes> {
-        match self {
-            ResSource::Mem(lists) => std::mem::take(&mut lists[s]),
-            ResSource::Disk(paths) => {
-                let mut r = SpillReader::open(&paths[s]).expect("value spill file must reopen");
-                r.next_frame()
-                    .expect("value spill read failed")
-                    .expect("value spill file missing its news frame");
-                let words = r
-                    .next_frame()
-                    .expect("value spill read failed")
-                    .expect("value spill file missing its resolution frame");
-                std::fs::remove_file(&paths[s]).ok();
-                decode_res(&words)
-            }
-        }
-    }
-}
-
 /// Shared interning pass: normalize (parallel) the distinct unseen
 /// symbols of `candidates` in first-occurrence order, deduplicate the
 /// normalized strings in `shards` independent hash shards (parallel),
@@ -386,7 +319,6 @@ fn intern_candidates(
     synonyms: &SynonymDict,
     mr: &MapReduce,
     shards: usize,
-    spill: Option<&Path>,
     interning: &mut ValueInterning,
     strings: &mut Vec<String>,
     class: &mut Vec<u32>,
@@ -426,77 +358,36 @@ fn intern_candidates(
     // Per-shard dedup (parallel): resolve every position against the
     // pre-call id table and a shard-local first-occurrence map. Shards
     // are disjoint by construction (same string → same shard), so no
-    // cross-shard coordination is needed. The dedup body is shared
-    // verbatim by the in-memory and spilling paths — that sharing is
-    // what keeps them bit-identical.
+    // cross-shard coordination is needed.
     let id_of_string = &interning.id_of_string;
-    let norm_ref = &normalized;
-    let shard_pos_ref = &shard_pos;
-    let shard_ids: Vec<usize> = (0..shards).collect();
-    let dedup_shard = |s: usize| -> (Vec<u32>, Vec<SymRes>) {
-        let mut local: HashMap<&str, u32> = HashMap::new();
-        let mut news: Vec<u32> = Vec::new();
-        let mut res: Vec<SymRes> = Vec::with_capacity(shard_pos_ref[s].len());
-        for &pos in &shard_pos_ref[s] {
-            let n = norm_ref[pos as usize].as_str();
-            if let Some(&id) = id_of_string.get(n) {
-                res.push(SymRes::Known(id));
-            } else {
-                match local.entry(n) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        res.push(SymRes::New(*e.get()));
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let li = news.len() as u32;
-                        e.insert(li);
-                        news.push(pos);
-                        res.push(SymRes::New(li));
+    // (per-shard first positions of new strings, per-shard resolutions)
+    let (news_lists, res_lists): (Vec<Vec<u32>>, Vec<Vec<SymRes>>) = mr
+        .par_map(&shard_pos, |positions| {
+            let mut local: HashMap<&str, u32> = HashMap::new();
+            let mut news: Vec<u32> = Vec::new();
+            let mut res: Vec<SymRes> = Vec::with_capacity(positions.len());
+            for &pos in positions {
+                let n = normalized[pos as usize].as_str();
+                if let Some(&id) = id_of_string.get(n) {
+                    res.push(SymRes::Known(id));
+                } else {
+                    match local.entry(n) {
+                        std::collections::hash_map::Entry::Occupied(e) => {
+                            res.push(SymRes::New(*e.get()));
+                        }
+                        std::collections::hash_map::Entry::Vacant(e) => {
+                            let li = news.len() as u32;
+                            e.insert(li);
+                            news.push(pos);
+                            res.push(SymRes::New(li));
+                        }
                     }
                 }
             }
-        }
-        (news, res)
-    };
-    // (per-shard first positions of new strings, resolution source)
-    let (news_lists, mut res_source): (Vec<Vec<u32>>, ResSource) = match spill {
-        None => {
-            let outs: Vec<(Vec<u32>, Vec<SymRes>)> = mr.par_map(&shard_ids, |&s| dedup_shard(s));
-            let (news, res) = outs.into_iter().unzip();
-            (news, ResSource::Mem(res))
-        }
-        Some(dir) => {
-            std::fs::create_dir_all(dir).expect("spill directory must be creatable");
-            let paths: Vec<PathBuf> = shard_ids
-                .iter()
-                .map(|s| dir.join(format!("values-shard-{s}.spill")))
-                .collect();
-            let paths_ref = &paths;
-            // Each worker writes its shard's two frames (news, encoded
-            // resolutions) and drops them before returning — the
-            // shard's output leaves memory until the stitch streams it
-            // back.
-            let written: Vec<std::io::Result<()>> = mr.par_map(&shard_ids, |&s| {
-                let (news, res) = dedup_shard(s);
-                let mut w = SpillWriter::create(&paths_ref[s])?;
-                w.write_frame(&news)?;
-                w.write_frame(&encode_res(&res))?;
-                w.finish()
-            });
-            for r in written {
-                r.expect("value-space shard spill failed");
-            }
-            let news = paths
-                .iter()
-                .map(|p| {
-                    let mut r = SpillReader::open(p).expect("value spill file must reopen");
-                    r.next_frame()
-                        .expect("value spill read failed")
-                        .expect("value spill file missing its news frame")
-                })
-                .collect();
-            (news, ResSource::Disk(paths))
-        }
-    };
+            (news, res)
+        })
+        .into_iter()
+        .unzip();
 
     // Stitch: merge the shards' new strings by first-occurrence
     // position and assign NormIds in that order — the monotone
@@ -527,12 +418,10 @@ fn intern_candidates(
     }
 
     // Resolve every distinct symbol to its final id (None: normalizes
-    // to empty) and record the mapping, one shard's resolutions
-    // resident at a time.
+    // to empty) and record the mapping.
     let mut resolved: Vec<Option<NormId>> = vec![None; distinct.len()];
-    for s in 0..shards {
-        let res = res_source.take(s);
-        for (&pos, r) in shard_pos[s].iter().zip(&res) {
+    for (s, res) in res_lists.iter().enumerate() {
+        for (&pos, r) in shard_pos[s].iter().zip(res) {
             resolved[pos as usize] = Some(match r {
                 SymRes::Known(id) => *id,
                 SymRes::New(li) => local_to_global[s][*li as usize],
@@ -702,7 +591,7 @@ mod tests {
             let mr = MapReduce::new(workers);
             for shards in [1usize, 2, 8] {
                 let (space, tables, interning) =
-                    build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards, None);
+                    build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards);
                 assert_eq!(
                     space.strings, ref_strings,
                     "workers {workers} shards {shards}"
@@ -712,7 +601,7 @@ mod tests {
                 // Projections are downstream of the ids; spot-check
                 // they are stable too.
                 let (s1, t1, _) =
-                    build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, 1, None);
+                    build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, 1);
                 assert_eq!(s1.strings, space.strings);
                 assert_eq!(tables.len(), t1.len());
                 for (a, b) in tables.iter().zip(&t1) {
@@ -721,51 +610,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The spilling build (shards written to disk and streamed back at
-    /// stitch) must be bit-identical to the in-memory build — ids,
-    /// strings, classes and projections alike — for every shard count.
-    #[test]
-    fn spilled_build_matches_in_memory() {
-        let (corpus, cands) = mk_candidates(vec![
-            vec![
-                ("United States", "USA"),
-                ("UNITED STATES[1]", "usa"),
-                ("Canada", "CAN"),
-                ("US Virgin Islands", "ISV"),
-            ],
-            vec![
-                ("United States Virgin Islands", "ISV"),
-                ("Côte d'Ivoire", "CIV"),
-                ("***", "empty-left"),
-                ("Canada", "CAN"),
-            ],
-            vec![("São Tomé", "STP"), ("Peru", "PER"), ("peru", "per")],
-        ]);
-        let mut dict = SynonymDict::new();
-        dict.declare("US Virgin Islands", "United States Virgin Islands");
-        let mr = MapReduce::new(2);
-        let dir =
-            std::env::temp_dir().join(format!("mapsynth-values-spill-test-{}", std::process::id()));
-        for shards in [1usize, 3, 8] {
-            let (mem_space, mem_tabs, mem_int) =
-                build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards, None);
-            let (spill_space, spill_tabs, spill_int) =
-                build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards, Some(&dir));
-            assert_eq!(spill_space.strings, mem_space.strings, "shards {shards}");
-            assert_eq!(spill_space.class, mem_space.class, "shards {shards}");
-            assert_eq!(spill_int.norm_of_sym, mem_int.norm_of_sym);
-            assert_eq!(spill_tabs.len(), mem_tabs.len());
-            for (a, b) in spill_tabs.iter().zip(&mem_tabs) {
-                assert_eq!(a.idx, b.idx);
-                assert_eq!(a.pairs, b.pairs);
-            }
-            // Spill files are consumed: the directory is left empty.
-            let leftover = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-            assert_eq!(leftover, 0, "spill files must be deleted after the stitch");
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Extending a space (the delta path) is shard-invariant too: any
@@ -786,7 +630,7 @@ mod tests {
         let mut reference: Option<(Vec<String>, Vec<u32>)> = None;
         for shards in [1usize, 2, 8] {
             let (space, _, mut interning) =
-                build_value_space_sharded(&corpus.interner, &cands[..1], &dict, &mr, shards, None);
+                build_value_space_sharded(&corpus.interner, &cands[..1], &dict, &mr, shards);
             let grown = grow_value_space(
                 &space,
                 &mut interning,
@@ -795,7 +639,6 @@ mod tests {
                 &dict,
                 &mr,
                 shards,
-                None,
             );
             let tables = project_candidates(&grown, &interning, &cands[1..], 1, &mr);
             assert!(!tables.is_empty());
@@ -897,7 +740,6 @@ mod tests {
             &SynonymDict::new(),
             &mr,
             mr.workers(),
-            None,
         );
         for i in 0..space.len() as u32 {
             assert_eq!(
@@ -918,7 +760,6 @@ mod tests {
             &SynonymDict::new(),
             &mr,
             mr.workers(),
-            None,
         );
         assert!(grown.len() > space.len());
         for i in 0..grown.len() as u32 {

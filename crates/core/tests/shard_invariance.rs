@@ -125,13 +125,13 @@ fn generated_candidates_exercise_blocking() {
     let (corpus, cands) = mk_candidates(&gen);
     let mr = MapReduce::new(2);
     let (space, tables, _) =
-        build_value_space_sharded(&corpus.interner, &cands, &synonyms(), &mr, 2, None);
+        build_value_space_sharded(&corpus.interner, &cands, &synonyms(), &mr, 2);
     assert!(
         space.len() > 10,
         "generator must produce a real value space"
     );
     let (_, pairs, _) =
-        BlockingIndex::build_sharded(&space, &tables, &SynthesisConfig::default(), &mr, 2, None);
+        BlockingIndex::build_sharded(&space, &tables, &SynthesisConfig::default(), &mr, 2);
     assert!(!pairs.is_empty(), "generator must produce blocked pairs");
 }
 
@@ -156,7 +156,7 @@ proptest! {
         let cfg = SynthesisConfig::default();
 
         let (ref_space, ref_tables, _) =
-            build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, 1, None);
+            build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, 1);
         let reference = observe_space(&ref_space, &ref_tables);
         let (_, ref_pairs, ref_stats) =
             BlockingIndex::build_unsharded(&ref_space, &ref_tables, &cfg, &mr);
@@ -166,10 +166,10 @@ proptest! {
         let at = (cands.len() * split_sel / 4).clamp(1, cands.len() - 1);
         let ext_reference = {
             let (space, tables, mut interning) =
-                build_value_space_sharded(&corpus.interner, &cands[..at], &dict, &mr, 1, None);
+                build_value_space_sharded(&corpus.interner, &cands[..at], &dict, &mr, 1);
             let n_prefix = tables.len() as u32;
             let grown = grow_value_space(
-                &space, &mut interning, &corpus.interner, &cands[at..], &dict, &mr, 1, None,
+                &space, &mut interning, &corpus.interner, &cands[at..], &dict, &mr, 1,
             );
             let added = project_candidates(&grown, &interning, &cands[at..], n_prefix, &mr);
             let mut all = tables;
@@ -179,12 +179,12 @@ proptest! {
 
         for shards in [2usize, 3, 8] {
             let (space, tables, _) =
-                build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards, None);
+                build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, shards);
             prop_assert_eq!(observe_space(&space, &tables), reference.clone(),
                 "value space diverged at {} shards, {} workers", shards, workers);
 
             let (_, pairs, stats) =
-                BlockingIndex::build_sharded(&space, &tables, &cfg, &mr, shards, None);
+                BlockingIndex::build_sharded(&space, &tables, &cfg, &mr, shards);
             prop_assert_eq!(&pairs, &ref_pairs,
                 "blocking pairs diverged at {} shards, {} workers", shards, workers);
             prop_assert_eq!(stats.pairs, ref_stats.pairs);
@@ -194,10 +194,10 @@ proptest! {
 
             // Extension path at this shard count.
             let (pspace, ptables, mut interning) =
-                build_value_space_sharded(&corpus.interner, &cands[..at], &dict, &mr, shards, None);
+                build_value_space_sharded(&corpus.interner, &cands[..at], &dict, &mr, shards);
             let n_prefix = ptables.len() as u32;
             let grown = grow_value_space(
-                &pspace, &mut interning, &corpus.interner, &cands[at..], &dict, &mr, shards, None,
+                &pspace, &mut interning, &corpus.interner, &cands[at..], &dict, &mr, shards,
             );
             let added = project_candidates(&grown, &interning, &cands[at..], n_prefix, &mr);
             let mut all = ptables;
@@ -211,7 +211,7 @@ proptest! {
             let k = at.min(tables.len().saturating_sub(1)).max(1);
             if k < tables.len() {
                 let (mut index, _, _) =
-                    BlockingIndex::build_sharded(&space, &tables[..k], &cfg, &mr, shards, None);
+                    BlockingIndex::build_sharded(&space, &tables[..k], &cfg, &mr, shards);
                 let added_idx: Vec<u32> = (k as u32..tables.len() as u32).collect();
                 let (delta_pairs, _) =
                     index.apply_delta(&space, &tables, &added_idx, &[], &cfg);

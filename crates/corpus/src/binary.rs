@@ -1,30 +1,21 @@
-//! Candidate two-column ("binary") tables, plus the binary spill
-//! format shard builds stream their artifacts through.
+//! Candidate two-column ("binary") tables, plus the checksummed frame
+//! format durable files are stored in.
 //!
 //! The unit of synthesis (paper §3): an *ordered* pair of columns
 //! `(left, right)` drawn from one source table, stored as a
 //! deduplicated set of `(l, r)` value pairs. Extraction produces these;
 //! the synthesis graph's vertices are these.
 //!
-//! [`SpillWriter`]/[`SpillReader`] are the on-disk half of the
-//! bounded-memory shard builds: a shard serializes its output as
-//! length-prefixed frames of `u32` words (everything the sharded
-//! value-space and blocking builds produce is u32-shaped), drops it
-//! from memory, and the stitch phase streams the frames back. The
-//! format carries no interpretation — each spill site defines its own
-//! frame layout — so the round trip is trivially byte-exact.
-//!
-//! [`FrameWriter`]/[`FrameReader`] are the *durable* sibling: the
-//! checksummed framing the crash-safe persistence layer (snapshot
-//! archives, the delta WAL) stores its records in. Unlike spill files —
-//! transient, single-process, deleted after the stitch — framed files
-//! survive process death and must therefore detect every way a file
-//! can rot: a versioned magic header binds the file to a format
-//! revision and a caller-chosen `kind`, every frame carries a CRC32 of
-//! its payload, and a sealed file ends in a trailer recording the
-//! frame count. Each failure mode gets its own [`FrameError`] variant,
-//! so recovery code can distinguish a clean end of file from a torn
-//! tail from actual corruption — the distinction the WAL's
+//! [`FrameWriter`]/[`FrameReader`] are the workspace's one on-disk
+//! frame format: the checksummed framing the crash-safe persistence
+//! layer (snapshot archives, the delta WAL) stores its records in.
+//! Framed files survive process death and must therefore detect every
+//! way a file can rot: a versioned magic header binds the file to a
+//! format revision and a caller-chosen `kind`, every frame carries a
+//! CRC32 of its payload, and a sealed file ends in a trailer recording
+//! the frame count. Each failure mode gets its own [`FrameError`]
+//! variant, so recovery code can distinguish a clean end of file from a
+//! torn tail from actual corruption — the distinction the WAL's
 //! truncate-the-torn-record / fail-on-corruption policy rests on.
 //! The CRC32 (reflected IEEE polynomial) is hand-rolled — the
 //! workspace vendors every dependency, so no checksum crate.
@@ -137,78 +128,6 @@ impl BinaryTable {
             }
         }
         n
-    }
-}
-
-/// Streams length-prefixed `u32` frames to a spill file. One writer
-/// per shard; shard paths are distinct, so parallel shard workers
-/// never share a file.
-pub struct SpillWriter {
-    out: BufWriter<File>,
-}
-
-impl SpillWriter {
-    /// Create (truncate) the spill file at `path`.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        Ok(Self {
-            out: BufWriter::new(File::create(path)?),
-        })
-    }
-
-    /// Append one frame: a `u32` little-endian length prefix followed
-    /// by the words.
-    pub fn write_frame(&mut self, words: &[u32]) -> io::Result<()> {
-        let len = u32::try_from(words.len())
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "spill frame too long"))?;
-        self.out.write_all(&len.to_le_bytes())?;
-        for w in words {
-            self.out.write_all(&w.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    /// Flush and close the file.
-    pub fn finish(mut self) -> io::Result<()> {
-        self.out.flush()
-    }
-}
-
-/// Streams frames back from a spill file in write order.
-pub struct SpillReader {
-    input: BufReader<File>,
-}
-
-impl SpillReader {
-    /// Open the spill file at `path`.
-    pub fn open(path: &Path) -> io::Result<Self> {
-        Ok(Self {
-            input: BufReader::new(File::open(path)?),
-        })
-    }
-
-    /// The next frame, or `None` at a clean end of file. A truncated
-    /// frame — EOF anywhere mid-record, *including* inside the length
-    /// prefix itself — is an error, never a silent `None`.
-    pub fn next_frame(&mut self) -> io::Result<Option<Vec<u32>>> {
-        let mut len_buf = [0u8; 4];
-        match read_full(&mut self.input, &mut len_buf)? {
-            Fill::Full => {}
-            Fill::Empty => return Ok(None),
-            Fill::Partial => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "spill frame torn inside its length prefix",
-                ))
-            }
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        let mut words = vec![0u32; len];
-        let mut buf = [0u8; 4];
-        for w in &mut words {
-            self.input.read_exact(&mut buf)?;
-            *w = u32::from_le_bytes(buf);
-        }
-        Ok(Some(words))
     }
 }
 
@@ -896,42 +815,6 @@ mod tests {
         assert_eq!(e.exact_overlap(&a), 0);
     }
 
-    #[test]
-    fn spill_round_trips_frames_in_order() {
-        let dir = std::env::temp_dir().join(format!("mapsynth-spill-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("frames.spill");
-        let frames: Vec<Vec<u32>> =
-            vec![vec![], vec![7], (0..1000).collect(), vec![u32::MAX, 0, 42]];
-        let mut w = SpillWriter::create(&path).unwrap();
-        for f in &frames {
-            w.write_frame(f).unwrap();
-        }
-        w.finish().unwrap();
-        let mut r = SpillReader::open(&path).unwrap();
-        for f in &frames {
-            assert_eq!(r.next_frame().unwrap().as_ref(), Some(f));
-        }
-        assert!(r.next_frame().unwrap().is_none());
-        assert!(r.next_frame().unwrap().is_none(), "EOF is sticky");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn truncated_spill_frame_is_an_error() {
-        let dir = std::env::temp_dir().join(format!("mapsynth-trunc-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trunc.spill");
-        let mut w = SpillWriter::create(&path).unwrap();
-        w.write_frame(&[1, 2, 3]).unwrap();
-        w.finish().unwrap();
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 2]).unwrap();
-        let mut r = SpillReader::open(&path).unwrap();
-        assert!(r.next_frame().is_err(), "mid-frame EOF must not be silent");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "mapsynth-{tag}-test-{}-{:?}",
@@ -940,57 +823,6 @@ mod tests {
         ));
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    /// A multi-frame spill file must distinguish clean EOF from a torn
-    /// frame at *every* prefix length: the reader either yields some
-    /// whole frames then `Ok(None)` (prefix ends exactly on a frame
-    /// boundary) or errors (prefix ends mid-frame) — never a silent
-    /// short read.
-    #[test]
-    fn spill_truncation_sweep_every_byte_offset() {
-        let dir = tmp_dir("spill-sweep");
-        let path = dir.join("full.spill");
-        let frames: Vec<Vec<u32>> = vec![vec![], vec![9, 8], vec![1, 2, 3], vec![u32::MAX]];
-        let mut w = SpillWriter::create(&path).unwrap();
-        for f in &frames {
-            w.write_frame(f).unwrap();
-        }
-        w.finish().unwrap();
-        let full = std::fs::read(&path).unwrap();
-        // Byte offsets at which a truncated file is *valid* (ends on a
-        // frame boundary), and how many whole frames each holds.
-        let mut boundaries = vec![(0u64, 0usize)];
-        let mut off = 0u64;
-        for (i, f) in frames.iter().enumerate() {
-            off += 4 + 4 * f.len() as u64;
-            boundaries.push((off, i + 1));
-        }
-        assert_eq!(off, full.len() as u64);
-        for cut in 0..=full.len() {
-            let p = dir.join("cut.spill");
-            std::fs::write(&p, &full[..cut]).unwrap();
-            let mut r = SpillReader::open(&p).unwrap();
-            let mut got = Vec::new();
-            let outcome = loop {
-                match r.next_frame() {
-                    Ok(Some(f)) => got.push(f),
-                    Ok(None) => break Ok(()),
-                    Err(e) => break Err(e),
-                }
-            };
-            match boundaries.iter().find(|&&(b, _)| b == cut as u64) {
-                Some(&(_, n)) => {
-                    assert!(outcome.is_ok(), "clean boundary at {cut} misread as torn");
-                    assert_eq!(got.len(), n, "wrong frame count at boundary {cut}");
-                    assert_eq!(got, frames[..n], "frame content diverged at {cut}");
-                }
-                None => {
-                    assert!(outcome.is_err(), "torn cut at {cut} misread as clean EOF");
-                }
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

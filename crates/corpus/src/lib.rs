@@ -50,7 +50,7 @@ pub mod table;
 
 pub use binary::{
     crc32, read_sealed, wire, BinaryId, BinaryTable, FrameError, FrameReader, FrameTail,
-    FrameWriter, SpillReader, SpillWriter, FRAME_VERSION, MAX_FRAME_LEN,
+    FrameWriter, FRAME_VERSION, MAX_FRAME_LEN,
 };
 pub use index::{GlobalColId, ValueIndex};
 pub use intern::{Interner, Sym};

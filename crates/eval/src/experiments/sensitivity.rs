@@ -13,18 +13,73 @@ use crate::benchmark::web_benchmark_attested;
 use crate::methods::PreparedWeb;
 use crate::metrics::{mean_score, ResultScorer, Score};
 use crate::report::{emit, Table};
-use mapsynth::blocking::candidate_pairs;
-use mapsynth::pipeline::Resolver;
+use mapsynth::pipeline::{PipelineConfig, Resolver, SynthesisSession};
 use mapsynth::SynthesisConfig;
-use mapsynth_extract::{extract_candidates, ExtractionConfig};
+use mapsynth_baselines::RelationResult;
+use mapsynth_extract::ExtractionConfig;
 use mapsynth_gen::generate_web;
-use mapsynth_mapreduce::MapReduce;
 
-fn mean_f(prepared: &PreparedWeb, cases: &[crate::BenchmarkCase], cfg: &SynthesisConfig) -> Score {
-    let results = prepared.run_synthesis(cfg, Resolver::Algorithm4);
+fn mean_f(
+    session: &SynthesisSession,
+    cases: &[crate::BenchmarkCase],
+    cfg: &SynthesisConfig,
+) -> Score {
+    let results: Vec<RelationResult> = session
+        .synthesize(cfg, Resolver::Algorithm4)
+        .mappings
+        .into_iter()
+        .map(|m| RelationResult {
+            pairs: m.materialize_pairs(),
+        })
+        .collect();
     let scorer = ResultScorer::new(&results);
     let per: Vec<Score> = cases.iter().map(|c| scorer.best_for(&c.gt).0).collect();
     mean_score(&per)
+}
+
+/// A session of its own over `prepared`'s corpus, built the way
+/// [`PreparedWeb::prepare`] builds the shared one: sweeps over
+/// parameters the prepare stages consume (`fd_theta`, `theta_overlap`)
+/// cannot derive their points from the shared artifacts.
+fn prepared_session(
+    prepared: &PreparedWeb,
+    cfg: &ExpConfig,
+    extraction: ExtractionConfig,
+    synthesis: SynthesisConfig,
+) -> SynthesisSession {
+    let feed = prepared
+        .registry
+        .partial_synonym_feed(cfg.synonym_fraction, 11);
+    let mut session = SynthesisSession::new(PipelineConfig {
+        extraction,
+        synthesis,
+        workers: cfg.workers,
+        ..Default::default()
+    })
+    .with_synonyms(feed);
+    session.prepare(&prepared.corpus);
+    session
+}
+
+/// The θ_overlap sweep: `(theta_overlap, blocked candidate pairs, mean
+/// score)` per point, each from a session blocked at that threshold.
+fn theta_overlap_sweep(
+    prepared: &PreparedWeb,
+    cases: &[crate::BenchmarkCase],
+    cfg: &ExpConfig,
+) -> Vec<(usize, usize, Score)> {
+    [1usize, 2, 3, 4, 5]
+        .into_iter()
+        .map(|theta_overlap| {
+            let scfg = SynthesisConfig {
+                theta_overlap,
+                ..Default::default()
+            };
+            let session = prepared_session(prepared, cfg, ExtractionConfig::default(), scfg);
+            let pairs = session.scores().expect("prepared").blocking.pairs;
+            (theta_overlap, pairs, mean_f(&session, cases, &scfg))
+        })
+        .collect()
 }
 
 /// Run all four sweeps.
@@ -33,35 +88,24 @@ pub fn run(cfg: &ExpConfig) {
     let mut web_cfg = cfg.web_config();
     web_cfg.tables = (cfg.tables / 2).max(500);
     let wc = generate_web(&web_cfg);
-    let corpus_for_theta = scalability_corpus(&wc.corpus);
     let prepared = PreparedWeb::prepare(wc, cfg.synonym_fraction, cfg.workers);
     let cases = web_benchmark_attested(&prepared.registry, &prepared.emitted_pairs, 80);
 
     // --- θ (approximate FD) sweep: candidate & mapping counts ---
-    let mr = if cfg.workers == 0 {
-        MapReduce::default()
-    } else {
-        MapReduce::new(cfg.workers)
-    };
     let mut t = Table::new(&["theta_fd", "candidates", "mappings"]);
     for theta in [0.93, 0.94, 0.95, 0.96, 0.97] {
-        let (cands, _) = extract_candidates(
-            &corpus_for_theta,
-            &ExtractionConfig {
-                fd_theta: theta,
-                ..Default::default()
-            },
-            &mr,
-        );
-        let feed = prepared
-            .registry
-            .partial_synonym_feed(cfg.synonym_fraction, 11);
-        let (space, tables) =
-            mapsynth::values::build_value_space(&corpus_for_theta.interner, &cands, &feed, &mr);
-        let mappings = mapsynth::synthesize_from(&space, &tables, &SynthesisConfig::default(), &mr);
+        let extraction = ExtractionConfig {
+            fd_theta: theta,
+            ..Default::default()
+        };
+        let session = prepared_session(&prepared, cfg, extraction, SynthesisConfig::default());
+        let candidates = session.extraction().expect("prepared").candidates.len();
+        let mappings = session
+            .synthesize(&SynthesisConfig::default(), Resolver::Algorithm4)
+            .mappings;
         t.row(vec![
             format!("{theta:.2}"),
-            cands.len().to_string(),
+            candidates.to_string(),
             mappings.len().to_string(),
         ]);
     }
@@ -76,7 +120,7 @@ pub fn run(cfg: &ExpConfig) {
     let mut t = Table::new(&["tau", "avg_fscore", "avg_precision", "avg_recall"]);
     for tau in [-0.4, -0.3, -0.2, -0.1, -0.05, -0.02] {
         let s = mean_f(
-            &prepared,
+            &prepared.session,
             &cases,
             &SynthesisConfig {
                 tau,
@@ -99,47 +143,10 @@ pub fn run(cfg: &ExpConfig) {
 
     // --- θ_overlap sweep: edge count and quality ---
     let mut t = Table::new(&["theta_overlap", "candidate_pairs", "avg_fscore"]);
-    for overlap in [1usize, 2, 3, 4, 5] {
-        let scfg = SynthesisConfig {
-            theta_overlap: overlap,
-            ..Default::default()
-        };
-        let (pairs, _) = candidate_pairs(prepared.space(), prepared.tables(), &scfg, prepared.mr());
-        // Quality still evaluated with shared scored pairs only when
-        // overlap=2 matches; otherwise re-run synthesis from scratch on
-        // the blocked pairs via the full path.
-        let s = if overlap == 2 {
-            mean_f(&prepared, &cases, &scfg)
-        } else {
-            let results = {
-                let graph = mapsynth::graph::build_graph(
-                    prepared.space(),
-                    prepared.tables(),
-                    &scfg,
-                    prepared.mr(),
-                );
-                mapsynth::synthesize_graph(
-                    prepared.space(),
-                    prepared.tables(),
-                    &graph,
-                    &scfg,
-                    Resolver::Algorithm4,
-                    prepared.mr(),
-                )
-            };
-            let rr: Vec<mapsynth_baselines::RelationResult> = results
-                .into_iter()
-                .map(|m| mapsynth_baselines::RelationResult {
-                    pairs: m.materialize_pairs(),
-                })
-                .collect();
-            let scorer = ResultScorer::new(&rr);
-            let per: Vec<Score> = cases.iter().map(|c| scorer.best_for(&c.gt).0).collect();
-            mean_score(&per)
-        };
+    for (overlap, pairs, s) in theta_overlap_sweep(&prepared, &cases, cfg) {
         t.row(vec![
             overlap.to_string(),
-            pairs.len().to_string(),
+            pairs.to_string(),
             format!("{:.3}", s.f),
         ]);
     }
@@ -188,7 +195,7 @@ pub fn run(cfg: &ExpConfig) {
     let mut t = Table::new(&["theta_edge", "avg_fscore", "avg_precision", "avg_recall"]);
     for edge in [0.4, 0.5, 0.6, 0.7, 0.85, 0.95] {
         let s = mean_f(
-            &prepared,
+            &prepared.session,
             &cases,
             &SynthesisConfig {
                 theta_edge: edge,
@@ -210,8 +217,51 @@ pub fn run(cfg: &ExpConfig) {
     );
 }
 
-/// Clone of the corpus used for the θ sweep (extraction mutates
-/// nothing, but we keep the borrow simple by copying once).
-fn scalability_corpus(corpus: &mapsynth_corpus::Corpus) -> mapsynth_corpus::Corpus {
-    super::scalability::subsample(corpus, corpus.len())
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mapsynth_gen::procedural::ProceduralConfig;
+    use mapsynth_gen::WebConfig;
+
+    /// Raising θ_overlap can only shrink the blocked pair set, and the
+    /// default point (θ_overlap = 2) is the shared `PreparedWeb`
+    /// session's own blocking and score.
+    #[test]
+    fn theta_overlap_sweep_is_monotone_and_matches_shared_session_at_default() {
+        let cfg = ExpConfig::default();
+        let wc = generate_web(&WebConfig {
+            tables: 260,
+            domains: 30,
+            procedural: ProceduralConfig {
+                families: 8,
+                temporal_families: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        let prepared = PreparedWeb::prepare(wc, cfg.synonym_fraction, cfg.workers);
+        let cases = web_benchmark_attested(&prepared.registry, &prepared.emitted_pairs, 80);
+        assert!(!cases.is_empty());
+
+        let rows = theta_overlap_sweep(&prepared, &cases, &cfg);
+        assert_eq!(
+            rows.iter().map(|r| r.0).collect::<Vec<_>>(),
+            [1, 2, 3, 4, 5]
+        );
+        assert!(rows[0].1 > 0);
+        for w in rows.windows(2) {
+            assert!(
+                w[0].1 >= w[1].1,
+                "candidate_pairs rose from θ_overlap {} to {}",
+                w[0].0,
+                w[1].0
+            );
+        }
+
+        let default = SynthesisConfig::default();
+        assert_eq!(default.theta_overlap, 2);
+        let shared = prepared.session.scores().expect("prepared");
+        assert_eq!(rows[1].1, shared.blocking.pairs);
+        assert_eq!(rows[1].2, mean_f(&prepared.session, &cases, &default));
+    }
 }

@@ -43,7 +43,9 @@
 
 use crate::persist::{PersistError, Persistence};
 use crate::service::MappingService;
-use mapsynth::delta::{fault, CorpusDelta, DeltaError};
+use mapsynth::delta::{
+    fault, CorpusDelta, DeltaError, PortableDelta, PortablePatch, PortableTable,
+};
 use mapsynth::pipeline::{Resolver, SynthesisSession};
 use mapsynth::SynthesisConfig;
 use mapsynth_corpus::{Corpus, RowPatch, RowPatchError, TableId};
@@ -57,41 +59,18 @@ use std::time::Duration;
 
 /// A table shipped to the ingestor: a caller-chosen stable key (the
 /// ingestor's table ids shift across compactions; keys never do), the
-/// provenance domain, and the columns.
-#[derive(Clone, Debug)]
-pub struct TableSpec {
-    /// Caller-chosen stable identity; must not collide with a live
-    /// table's key.
-    pub key: u64,
-    /// Provenance domain name (interned on accept).
-    pub domain: String,
-    /// Columns as `(header, values)`; all value vectors must share one
-    /// length.
-    pub columns: Vec<(Option<String>, Vec<String>)>,
-}
+/// provenance domain, and the columns. The key must not collide with a
+/// live table's, and all value vectors must share one length.
+pub type TableSpec = PortableTable;
 
-/// A row patch addressed by table key instead of [`TableId`].
-#[derive(Clone, Debug)]
-pub struct PatchSpec {
-    /// Key of the (live) table to edit.
-    pub key: u64,
-    /// Full-width tuples to delete (each must match a current row).
-    pub deleted: Vec<Vec<String>>,
-    /// Full-width tuples to append.
-    pub inserted: Vec<Vec<String>>,
-}
+/// A row patch addressed by table key instead of [`TableId`]; each
+/// deleted tuple must match a current row.
+pub type PatchSpec = PortablePatch;
 
 /// One unit of corpus evolution submitted to the ingestor — the
-/// key-addressed analogue of [`CorpusDelta`].
-#[derive(Clone, Debug, Default)]
-pub struct DeltaRequest {
-    /// Tables to append.
-    pub add: Vec<TableSpec>,
-    /// Keys of live tables to remove.
-    pub remove: Vec<u64>,
-    /// Row patches to live tables.
-    pub patches: Vec<PatchSpec>,
-}
+/// key-addressed analogue of [`CorpusDelta`], and the record the WAL
+/// stores as is.
+pub type DeltaRequest = PortableDelta;
 
 /// Why the ingestor rejected (and quarantined) a [`DeltaRequest`].
 #[derive(Clone, Debug, PartialEq, Eq)]

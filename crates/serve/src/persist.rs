@@ -39,12 +39,10 @@
 //! expects next (contiguity — no record can be missing between them);
 //! only a provable hole halts it.
 
-use crate::ingest::{
-    apply_request_to, compact_with_keys, DeltaRequest, IngestError, PatchSpec, TableSpec,
-};
+use crate::ingest::{apply_request_to, compact_with_keys, DeltaRequest, IngestError};
 use crate::service::MappingService;
 use crate::snapshot::IndexSnapshot;
-use mapsynth::delta::{PortableDelta, PortablePatch, PortableTable};
+use mapsynth::delta::{PortableDelta, PortableTable};
 use mapsynth::pipeline::{PipelineConfig, Resolver, SynthesisSession};
 use mapsynth_corpus::wire::{self, WireError, WireReader};
 use mapsynth_corpus::{
@@ -314,54 +312,6 @@ pub(crate) fn portable_tables(
         .collect()
 }
 
-fn request_to_portable(r: &DeltaRequest) -> PortableDelta {
-    PortableDelta {
-        add: r
-            .add
-            .iter()
-            .map(|t| PortableTable {
-                key: t.key,
-                domain: t.domain.clone(),
-                columns: t.columns.clone(),
-            })
-            .collect(),
-        remove: r.remove.clone(),
-        patches: r
-            .patches
-            .iter()
-            .map(|p| PortablePatch {
-                key: p.key,
-                deleted: p.deleted.clone(),
-                inserted: p.inserted.clone(),
-            })
-            .collect(),
-    }
-}
-
-fn portable_to_request(p: PortableDelta) -> DeltaRequest {
-    DeltaRequest {
-        add: p
-            .add
-            .into_iter()
-            .map(|t| TableSpec {
-                key: t.key,
-                domain: t.domain,
-                columns: t.columns,
-            })
-            .collect(),
-        remove: p.remove,
-        patches: p
-            .patches
-            .into_iter()
-            .map(|p| PatchSpec {
-                key: p.key,
-                deleted: p.deleted,
-                inserted: p.inserted,
-            })
-            .collect(),
-    }
-}
-
 /// Tuning for the persistence hook.
 #[derive(Clone, Debug)]
 pub struct PersistConfig {
@@ -584,7 +534,7 @@ impl Persistence {
     /// Durably log one accepted delta (append + fsync) before it can
     /// reach a publish.
     pub fn record_accepted(&mut self, request: &DeltaRequest) -> Result<u64, PersistError> {
-        self.wal.append(&request_to_portable(request))
+        self.wal.append(request)
     }
 
     /// Whether the publish cadence calls for an archive now. Counts
@@ -838,15 +788,8 @@ pub fn recover(
                     }
                     let delta = PortableDelta::decode(&record[r.position()..])
                         .map_err(|e| decode_err(path, e))?;
-                    let request = portable_to_request(delta);
-                    apply_request_to(
-                        &mut session,
-                        &mut corpus,
-                        &mut key_of_table,
-                        &request,
-                        false,
-                    )
-                    .map_err(|error| PersistError::Replay { seq, error })?;
+                    apply_request_to(&mut session, &mut corpus, &mut key_of_table, &delta, false)
+                        .map_err(|error| PersistError::Replay { seq, error })?;
                     if session.compaction_due() {
                         compact_with_keys(&mut session, &mut corpus, &mut key_of_table);
                         replay_compactions += 1;
@@ -973,7 +916,7 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ingest::{DeltaIngestor, IngestorConfig, NoFaults};
+    use crate::ingest::{DeltaIngestor, IngestorConfig, NoFaults, TableSpec};
     use std::time::Duration;
 
     fn tmp_dir(tag: &str) -> PathBuf {

@@ -482,7 +482,12 @@ fn resume_crash_before_archive_roll_loses_nothing() {
     );
     assert_eq!(second.report.wal_replayed, (n - split) as u64);
     let (oracle, oracle_service) = run_oracle(n);
-    assert_state_matches(&second, &oracle, &oracle_service, "resume without archive roll");
+    assert_state_matches(
+        &second,
+        &oracle,
+        &oracle_service,
+        "resume without archive roll",
+    );
 
     // Crash 3: resume once more (two unsealed non-final segments now
     // precede the tail) and prove the chain still replays end to end.
