@@ -10,6 +10,7 @@
 //! | `fig9_scalability` | Figure 9 — pipeline runtime vs corpus fraction |
 //! | `micro_edit_distance` | Algorithm 2 ablation: banded vs bit-parallel Myers vs full DP, across length buckets |
 //! | `micro_blocking` | §4.1 ablation: blocked vs all-pairs scoring |
+//! | `micro_coherence` | §3.1 kernel: `column_coherence_detailed` per structural column and per list probe, at 600 and 7,500 tables |
 //! | `micro_partition` | Algorithm 3: lazy-heap greedy merge |
 //! | `micro_scoring` | §4.1 hot path: shared `ScoringContext` vs throwaway per-pair scoring |
 //! | `apps_lookup` | §1 mapping-index containment lookup (Bloom) |

@@ -10,11 +10,20 @@
 //! thousands of tables would alone contribute millions of candidate
 //! pairs while adding no discriminative signal — tables of the same
 //! relation meet anyway through their rarer values.
+//!
+//! **Hashing contract.** The posting and pair-count maps are
+//! [`IdHashMap`]s: hashed by the unseeded multiply-mix
+//! [`mapsynth_mapreduce::IdHasher`], not the std SipHash. That is sound
+//! only because every key field is an id this program assigned — a
+//! synonym-class id of the [`ValueSpace`], a table index, a key kind —
+//! never bytes read from outside it, so nobody can craft colliding
+//! keys. A map keyed by external strings (the serving index, say) must
+//! keep the std `RandomState`. Shard assignment is a separate hash
+//! ([`partition_of`], FNV-1a) and does not move with this one.
 
 use crate::config::SynthesisConfig;
 use crate::values::{NormBinary, ValueSpace};
-use mapsynth_mapreduce::{partition_of, MapReduce};
-use std::collections::HashMap;
+use mapsynth_mapreduce::{partition_of, IdHashMap, MapReduce};
 
 /// Statistics from blocking, used by the scalability experiments.
 #[derive(Clone, Copy, Debug, Default)]
@@ -82,13 +91,14 @@ fn table_keys(space: &ValueSpace, t: &NormBinary, cfg: &SynthesisConfig) -> Vec<
     out
 }
 
-/// The table pairs one posting list witnesses, after hub sampling.
+/// The table pairs one posting list witnesses, after hub sampling,
+/// handed to `emit` one by one.
 fn contribution(
     tis: &[u32],
     kind: u8,
     sizes: &[u32],
     max_key_fanout: usize,
-    out: &mut Vec<(u32, u32, u8)>,
+    mut emit: impl FnMut((u32, u32, u8)),
 ) {
     let mut hubs: Vec<u32>;
     let tis = if tis.len() > max_key_fanout {
@@ -100,19 +110,25 @@ fn contribution(
     } else {
         tis
     };
-    out.reserve(tis.len() * (tis.len().saturating_sub(1)) / 2);
     for (i, &a) in tis.iter().enumerate() {
         for &b in &tis[i + 1..] {
-            out.push((a, b, kind));
+            emit((a, b, kind));
         }
     }
 }
 
-/// One shard's build output: its posting lists and pair counts.
-type ShardOut = (
-    HashMap<(u8, u32, u32), Vec<u32>>,
-    HashMap<(u32, u32, u8), u32>,
-);
+/// `(kind, key) → ascending table indices`.
+type Postings = IdHashMap<(u8, u32, u32), Vec<u32>>;
+/// `(a, b, kind) → shared-key count`.
+type PairCounts = IdHashMap<(u32, u32, u8), u32>;
+
+/// Move the map with the most entries out of `shards` — the one the
+/// stitch folds the others into, so the bulk of the entries is never
+/// re-inserted.
+fn take_largest<K, V>(shards: &mut Vec<IdHashMap<K, V>>) -> IdHashMap<K, V> {
+    let largest = (0..shards.len()).max_by_key(|&i| shards[i].len());
+    largest.map_or_else(IdHashMap::default, |i| shards.swap_remove(i))
+}
 
 /// The maintained blocking state: the inverted index (key → posting
 /// list over live table indices) plus per-pair shared-key counts —
@@ -129,9 +145,9 @@ type ShardOut = (
 pub struct BlockingIndex {
     /// `(kind, key) → ascending live table indices`; empty lists are
     /// removed.
-    postings: HashMap<(u8, u32, u32), Vec<u32>>,
+    postings: Postings,
     /// `(a, b, kind) → shared-key count`; zero entries are removed.
-    pair_counts: HashMap<(u32, u32, u8), u32>,
+    pair_counts: PairCounts,
     /// Table sizes (`|B|`), index-aligned with the tables slice, for
     /// hub sampling.
     sizes: Vec<u32>,
@@ -175,31 +191,34 @@ impl BlockingIndex {
         }
         drop(keys_per_table);
         let sizes: Vec<u32> = tables.iter().map(|t| t.len() as u32).collect();
-        // Stage 3 — per-shard posting lists and pair contributions.
+        // Stage 3 — per-shard posting lists, each list's pair
+        // contributions counted straight into the shard's map.
         let sizes_ref = &sizes;
-        let shard_outs: Vec<ShardOut> = mr.par_map(&buckets, |bucket| {
-            let mut postings: HashMap<(u8, u32, u32), Vec<u32>> = HashMap::new();
+        let shard_outs: Vec<(Postings, PairCounts)> = mr.par_map(&buckets, |bucket| {
+            let mut postings = Postings::default();
             for &(k, ti) in bucket {
                 // ti arrives ascending per key; a table emits each key
                 // at most once, so the list is deduped by construction.
                 postings.entry(k).or_default().push(ti);
             }
-            let mut contrib: Vec<(u32, u32, u8)> = Vec::new();
+            let mut pair_counts = PairCounts::default();
             for ((kind, _, _), tis) in &postings {
-                contribution(tis, *kind, sizes_ref, cfg.max_key_fanout, &mut contrib);
-            }
-            let mut pair_counts: HashMap<(u32, u32, u8), u32> = HashMap::new();
-            for p in contrib {
-                *pair_counts.entry(p).or_insert(0) += 1;
+                contribution(tis, *kind, sizes_ref, cfg.max_key_fanout, |p| {
+                    *pair_counts.entry(p).or_insert(0) += 1;
+                });
             }
             (postings, pair_counts)
         });
-        // Stage 4 — stitch: disjoint postings concatenate, pair counts
-        // sum across shards.
-        let mut postings: HashMap<(u8, u32, u32), Vec<u32>> = HashMap::new();
-        let mut pair_counts: HashMap<(u32, u32, u8), u32> = HashMap::new();
-        for (p, c) in shard_outs {
+        // Stage 4 — stitch into the largest shard's maps: disjoint
+        // postings concatenate, pair counts sum across shards.
+        let (mut posting_shards, mut count_shards): (Vec<_>, Vec<_>) =
+            shard_outs.into_iter().unzip();
+        let mut postings = take_largest(&mut posting_shards);
+        for p in posting_shards {
             postings.extend(p);
+        }
+        let mut pair_counts = take_largest(&mut count_shards);
+        for c in count_shards {
             for (pair, n) in c {
                 *pair_counts.entry(pair).or_insert(0) += n;
             }
@@ -253,8 +272,10 @@ impl BlockingIndex {
             &postings,
             |((kind, _, _), tis)| {
                 let mut out = Vec::new();
-                contribution(tis, *kind, sizes_ref, cfg.max_key_fanout, &mut out);
-                out.into_iter().map(|p| (p, 1u32)).collect()
+                contribution(tis, *kind, sizes_ref, cfg.max_key_fanout, |p| {
+                    out.push((p, 1u32));
+                });
+                out
             },
             |acc, v| *acc += v,
             |_pair, counts| counts.iter().sum::<u32>(),
@@ -288,16 +309,17 @@ impl BlockingIndex {
         self.pairs(cfg)
     }
 
-    /// Adjust pair counts for a set of touched keys around `mutate`:
-    /// capture the touched keys' contributions, run the mutation,
-    /// capture again, apply the difference.
+    /// Adjust pair counts for a set of touched keys around `mutate`
+    /// (which edits posting lists only): take the touched keys' old
+    /// contributions out of the counts, run the mutation, count their
+    /// new contributions in.
     fn diff_contributions(
         &mut self,
         changed: &[(u8, u32, u32)],
         cfg: &SynthesisConfig,
         mutate: impl FnOnce(&mut Self),
     ) {
-        let mut old_contrib: Vec<(u32, u32, u8)> = Vec::new();
+        let pair_counts = &mut self.pair_counts;
         for key in changed {
             if let Some(tis) = self.postings.get(key) {
                 contribution(
@@ -305,34 +327,24 @@ impl BlockingIndex {
                     key.0,
                     &self.sizes,
                     cfg.max_key_fanout,
-                    &mut old_contrib,
+                    |p| match pair_counts.get_mut(&p) {
+                        Some(c) if *c > 1 => *c -= 1,
+                        Some(_) => {
+                            pair_counts.remove(&p);
+                        }
+                        None => unreachable!("old contribution had no count"),
+                    },
                 );
             }
         }
         mutate(self);
-        let mut new_contrib: Vec<(u32, u32, u8)> = Vec::new();
+        let pair_counts = &mut self.pair_counts;
         for key in changed {
             if let Some(tis) = self.postings.get(key) {
-                contribution(
-                    tis,
-                    key.0,
-                    &self.sizes,
-                    cfg.max_key_fanout,
-                    &mut new_contrib,
-                );
+                contribution(tis, key.0, &self.sizes, cfg.max_key_fanout, |p| {
+                    *pair_counts.entry(p).or_insert(0) += 1;
+                });
             }
-        }
-        for p in old_contrib {
-            match self.pair_counts.get_mut(&p) {
-                Some(c) if *c > 1 => *c -= 1,
-                Some(_) => {
-                    self.pair_counts.remove(&p);
-                }
-                None => unreachable!("old contribution had no count"),
-            }
-        }
-        for p in new_contrib {
-            *self.pair_counts.entry(p).or_insert(0) += 1;
         }
     }
 

@@ -199,10 +199,13 @@ fn sketch_of(postings: &[GlobalColId]) -> Option<Box<PostingSketch>> {
     (postings.len() >= SKETCH_MIN_LEN).then(|| Box::new(PostingSketch::of(postings)))
 }
 
-/// Length of the intersection of two sorted, duplicate-free slices.
+/// Length of the intersection of two sorted, duplicate-free slices, by
+/// plain merge. Not on extraction's hot path: it serves
+/// [`ValueIndex::cooccurrence`], i.e. the pairwise
+/// `CooccurrenceStats::gather*` entry points and the probe oracle the
+/// coherence funnel in [`crate::stats`] is tested against, so it stays
+/// the simplest thing to verify.
 fn intersection_len(a: &[GlobalColId], b: &[GlobalColId]) -> usize {
-    // Galloping helps when one list is much shorter; the plain merge is
-    // fine at our scale and simpler to verify.
     let mut i = 0;
     let mut j = 0;
     let mut n = 0;

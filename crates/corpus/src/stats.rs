@@ -14,6 +14,8 @@
 
 use crate::index::{GlobalColId, ValueIndex};
 use crate::intern::Sym;
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// Pre-resolved co-occurrence counts for a pair of values.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -271,18 +273,25 @@ pub fn column_coherence_detailed(
 
 /// `|C(u) ∩ C(v)|` for every sampled pair in `i < j` order — the exact
 /// counts the old pair-by-pair [`ValueIndex::cooccurrence`] loop
-/// produced, through a three-tier funnel:
+/// produced, through a four-tier funnel (the first three classify a
+/// pair on its own, the last counts all survivors together):
 ///
 /// 1. **Shortcuts** — an empty list intersects nothing; when both
 ///    lists contain the scored column `g`, a singleton list is exactly
 ///    `{g}` and the pair counts 1.
-/// 2. **Sketch resolution** — the exact lower/upper overlap bounds of
-///    the posting sketches (floored at 1 when both lists contain `g`);
-///    a pinched pair (`lb == ub`) is resolved without list access.
-/// 3. **Bitmap intersection** — survivors are counted over one shared
-///    restricted universe: the union of the involved posting lists,
-///    each list materialized once as a bitvector, each pair a
-///    word-parallel AND/popcount.
+/// 2. **Sketch resolution** — when both lists carry a sketch, its
+///    exact lower/upper overlap bounds (floored at 1 when both lists
+///    contain `g`); a pinched pair (`lb == ub`) is resolved without
+///    list access.
+/// 3. **Gallop** — when a side is unsketched and at most
+///    [`DIRECT_PROBE_MAX`] long, the shorter list is binary-searched
+///    in the longer.
+/// 4. **Scatter-built bitmap intersection** — survivors are counted
+///    over one shared restricted universe: every gid of the involved
+///    posting lists gets a dense bit position on first touch (see
+///    [`Universe::scatter`]), each list is read once into a bitvector,
+///    each pair is a word-parallel AND/popcount. The cost is the postings
+///    read plus the words intersected — no sort, no merge.
 fn pair_cooccurrences(
     index: &ValueIndex,
     samples: &[Sym],
@@ -352,48 +361,106 @@ fn pair_cooccurrences(
     }
     funnel.list_probes += unresolved.len() as u64;
 
-    // Restricted universe: the union of the unresolved samples'
-    // posting lists, deduplicated to dense bit positions.
     let mut involved = vec![false; k];
     for &(i, j, _) in &unresolved {
         involved[i as usize] = true;
         involved[j as usize] = true;
     }
-    let mut universe: Vec<GlobalColId> = Vec::new();
-    for (i, &inv) in involved.iter().enumerate() {
-        if inv {
-            universe.extend_from_slice(index.columns(samples[i]));
+    // One bitvector per involved sample over the restricted universe,
+    // all in one arena, each posting list read exactly once. Rows grow
+    // with the universe: a later, longer row has no bit of an earlier
+    // list beyond that list's own row, so AND/popcount over the
+    // shorter of two rows is exact.
+    let mut arena: Vec<u64> = Vec::new();
+    let mut rows = vec![0..0; k];
+    with_universe(|universe| {
+        for i in (0..k).filter(|&i| involved[i]) {
+            rows[i] = universe.scatter(index.columns(samples[i]), &mut arena);
         }
-    }
-    universe.sort_unstable();
-    universe.dedup();
-    let words = universe.len().div_ceil(64);
-
-    // One bitvector per involved sample: each posting list is read
-    // once here, instead of once per pair in the old merge loop.
-    let mut rows: Vec<Vec<u64>> = vec![Vec::new(); k];
-    for (i, &inv) in involved.iter().enumerate() {
-        if !inv {
-            continue;
-        }
-        let mut row = vec![0u64; words];
-        let mut at = 0usize;
-        for &gid in index.columns(samples[i]) {
-            // Every gid is in the universe by construction; a merge
-            // walk finds its slot without per-element binary search.
-            while universe[at] < gid {
-                at += 1;
-            }
-            row[at / 64] |= 1u64 << (at % 64);
-            at += 1;
-        }
-        rows[i] = row;
-    }
+    });
     for &(i, j, s) in &unresolved {
-        let (ru, rv) = (&rows[i as usize], &rows[j as usize]);
+        let (ru, rv) = (
+            &arena[rows[i as usize].clone()],
+            &arena[rows[j as usize].clone()],
+        );
         pair_counts[s as usize] = ru.iter().zip(rv).map(|(a, b)| (a & b).count_ones()).sum();
     }
     pair_counts
+}
+
+/// Marks a gid without a bit position in [`Scratch::position`].
+const UNPLACED: u32 = u32::MAX;
+
+/// Per-thread scratch behind [`Universe`]: a dense `gid → bit
+/// position` table that outlives the call so scoring a column costs
+/// its postings, not a table-sized clear.
+struct Scratch {
+    /// `position[gid]`, [`UNPLACED`] for every gid outside a
+    /// [`with_universe`] section. Grown on demand to the largest gid a
+    /// posting list mentions — [`ValueIndex::total_columns`] counts
+    /// live columns and is no bound once deltas leave gaps.
+    position: Vec<u32>,
+    /// The gids placed so far, in first-touch order: `placed[p]` sits
+    /// at bit `p`. Doubles as the undo list.
+    placed: Vec<GlobalColId>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = const {
+        RefCell::new(Scratch {
+            position: Vec::new(),
+            placed: Vec::new(),
+        })
+    };
+}
+
+/// The restricted universe of one [`pair_cooccurrences`] call: hands
+/// out dense bit positions to gids in first-touch order, which is all
+/// AND/popcount needs. Dropping it un-places every gid it placed, so
+/// the thread's [`Scratch`] is clean on the next entry even when the
+/// section is left by a panic that a caller contains
+/// (`apply_delta`'s `catch_unwind`).
+struct Universe<'a>(&'a mut Scratch);
+
+impl Universe<'_> {
+    /// Append the bitvector of one sorted posting list to `arena` and
+    /// return its span. A gid gets the next free bit position the
+    /// first time any list mentions it, so the row only extends to the
+    /// universe size reached when this list ends.
+    fn scatter(&mut self, list: &[GlobalColId], arena: &mut Vec<u64>) -> Range<usize> {
+        let Scratch { position, placed } = &mut *self.0;
+        // The list is sorted: its last gid is its largest.
+        let bound = list.last().map_or(0, |g| g.0 as usize + 1);
+        if position.len() < bound {
+            position.resize(bound, UNPLACED);
+        }
+        let start = arena.len();
+        arena.resize(start + (placed.len() + list.len()).div_ceil(64), 0);
+        let row = &mut arena[start..];
+        for &gid in list {
+            let at = &mut position[gid.0 as usize];
+            if *at == UNPLACED {
+                *at = placed.len() as u32;
+                placed.push(gid);
+            }
+            row[*at as usize / 64] |= 1u64 << (*at % 64);
+        }
+        arena.truncate(start + placed.len().div_ceil(64));
+        start..arena.len()
+    }
+}
+
+impl Drop for Universe<'_> {
+    fn drop(&mut self) {
+        for gid in self.0.placed.drain(..) {
+            self.0.position[gid.0 as usize] = UNPLACED;
+        }
+    }
+}
+
+/// Run `f` over an empty [`Universe`] backed by this thread's scratch.
+fn with_universe<R>(f: impl FnOnce(&mut Universe<'_>) -> R) -> R {
+    SCRATCH.with(|scratch| f(&mut Universe(&mut scratch.borrow_mut())))
 }
 
 /// `|a ∩ b|` by binary-searching each element of the shorter list in
@@ -590,6 +657,40 @@ mod tests {
         );
     }
 
+    /// One live column of a test's model of the index: its gid and its
+    /// distinct values in first-occurrence order.
+    type ModelColumn = (GlobalColId, Vec<Sym>);
+
+    /// The model of a freshly built single-column-per-table corpus.
+    fn model_of(c: &Corpus) -> Vec<ModelColumn> {
+        (c.tables.iter().enumerate())
+            .map(|(ti, t)| (GlobalColId(ti as u32), t.columns[0].distinct()))
+            .collect()
+    }
+
+    /// Score every live column on the calling thread — forward, then
+    /// in reverse, so each call inherits the scratch a *different*
+    /// column left behind — and hold every call to the probe oracle
+    /// bit for bit: pair counts, and the f64 score.
+    fn assert_columns_match_probe(
+        idx: &ValueIndex,
+        columns: &[ModelColumn],
+        cfg: CoherenceConfig,
+    ) -> CoherenceFunnel {
+        let mut funnel = CoherenceFunnel::default();
+        for (g, distinct) in columns.iter().chain(columns.iter().rev()) {
+            let (score, detail) = column_coherence_detailed(idx, distinct, cfg, *g, &mut funnel);
+            assert_eq!(
+                detail.pair_counts,
+                pair_cooccurrences_probe(idx, &detail.samples),
+                "pair counts diverged from probe oracle on column {g:?}"
+            );
+            let oracle = column_coherence_excluding(idx, distinct, cfg, *g);
+            assert_eq!(score.to_bits(), oracle.to_bits(), "score drifted, {g:?}");
+        }
+        funnel
+    }
+
     /// The sketch fast path must reproduce the probe oracle bit for
     /// bit — pair counts, value counts, and the f64 score — on a
     /// corpus mixing hot (sketched), rare, and column-unique values.
@@ -612,66 +713,146 @@ mod tests {
             vec![(None, vec!["USA", "blob-1", "blob-2", "rare-pair", "u7"])],
         );
         let idx = ValueIndex::build(&c);
-        let cfg = CoherenceConfig::default();
-        let mut funnel = CoherenceFunnel::default();
-        for (ti, table) in c.tables.iter().enumerate() {
-            let col = &table.columns[0];
-            let g = GlobalColId(ti as u32);
-            let (score, detail) =
-                column_coherence_detailed(&idx, &col.distinct(), cfg, g, &mut funnel);
-            assert_eq!(
-                detail.pair_counts,
-                pair_cooccurrences_probe(&idx, &detail.samples),
-                "pair counts diverged from probe oracle on column {ti}"
-            );
-            let oracle = column_coherence_excluding(&idx, &col.distinct(), cfg, g);
-            assert_eq!(score.to_bits(), oracle.to_bits(), "score drifted, col {ti}");
-        }
+        let funnel = assert_columns_match_probe(&idx, &model_of(&c), CoherenceConfig::default());
         assert!(funnel.sketch_rejects > 0, "no pair resolved by sketch");
         assert!(funnel.list_probes > 0, "no pair needed a probe");
     }
 
+    /// A 100-value column over 150 partially overlapping tables: every
+    /// posting list is long enough to be sketched and no two overlap
+    /// tidily, so the pairs land in the bitmap tier — over a universe
+    /// of 151 columns, which the first lists do not yet span.
+    fn wide_corpus() -> Corpus {
+        let mut c = Corpus::new();
+        let d = c.domain("x");
+        let names: Vec<String> = (0..100).map(|v| format!("w{v}")).collect();
+        c.push_table(d, vec![(None, names.iter().map(String::as_str).collect())]);
+        for t in 0..150 {
+            let vals = (0..100).filter(|v| (v * 31 + t * 17) % 7 < 3);
+            c.push_table(d, vec![(None, vals.map(|v| names[v].as_str()).collect())]);
+        }
+        c
+    }
+
+    /// More than 64 samples in one restricted universe of more than
+    /// 64 columns: rows span several words and later rows are longer
+    /// than earlier ones.
+    #[test]
+    fn fast_pair_counts_match_probe_beyond_64_samples() {
+        let c = wide_corpus();
+        let idx = ValueIndex::build(&c);
+        let cfg = CoherenceConfig { max_sample: 100 };
+        let wide = &model_of(&c)[..1];
+        let funnel = assert_columns_match_probe(&idx, wide, cfg);
+        // Two calls on the wide column; 64 samples span at most
+        // C(64, 2) = 2016 pairs, so more were involved at once.
+        assert!(
+            funnel.list_probes > 2 * 2016,
+            "{} probes: the wide column did not reach the bitmap tier",
+            funnel.list_probes
+        );
+        assert_columns_match_probe(&idx, &model_of(&c), cfg);
+    }
+
+    /// A panic that unwinds out of the scatter section (contained by a
+    /// caller's `catch_unwind`, as `apply_delta` does) must leave the
+    /// thread's scratch clean: the next call on the same thread equals
+    /// the probe oracle bit for bit.
+    #[test]
+    fn scratch_is_clean_after_a_panic_unwinds_the_scatter() {
+        let c = wide_corpus();
+        let idx = ValueIndex::build(&c);
+        let columns = model_of(&c);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_universe(|universe| {
+                let mut arena = Vec::new();
+                for &v in &columns[0].1 {
+                    universe.scatter(idx.columns(v), &mut arena);
+                }
+                assert_eq!(
+                    universe.0.placed.len(),
+                    columns.len(),
+                    "every column placed"
+                );
+                // Unwinds like a panic, without the hook's stderr noise.
+                std::panic::resume_unwind(Box::new("induced"));
+            })
+        }));
+        assert!(unwound.is_err());
+        SCRATCH.with(|scratch| {
+            let scratch = scratch.borrow();
+            assert!(scratch.placed.is_empty());
+            assert_eq!(scratch.position.len(), columns.len());
+            assert!(scratch.position.iter().all(|&at| at == UNPLACED));
+        });
+        assert_columns_match_probe(&idx, &columns, CoherenceConfig { max_sample: 100 });
+    }
+
     proptest::proptest! {
-        /// Bit-identity on arbitrary corpora: whatever mixture of
-        /// list lengths, overlaps and saturations the generator
-        /// produces, the fast pair loop equals the probe oracle.
+        /// Bit-identity on arbitrary corpora under arbitrary index
+        /// maintenance: whatever mixture of list lengths, overlaps and
+        /// saturations the generator produces, every column's fast
+        /// pair loop equals the probe oracle — initially and after
+        /// each `add_column` (at the next gid, or past a gap far above
+        /// `total_columns()`), `remove_column` and `patch_column` —
+        /// with all calls sharing one thread's scratch.
         #[test]
         fn prop_fast_pair_counts_match_probe(
             tables in proptest::collection::vec(
                 proptest::collection::vec(0u8..24, 1..12),
                 1..24,
             ),
-            scored in 0usize..24,
+            edits in proptest::collection::vec(
+                (
+                    0u8..3,
+                    0usize..64,
+                    proptest::collection::vec(0u8..32, 1..12),
+                    0usize..3,
+                ),
+                0..8,
+            ),
         ) {
             let mut c = Corpus::new();
             let d = c.domain("x");
+            let syms: Vec<Sym> = (0..32).map(|v| c.interner.intern(&format!("v{v}"))).collect();
             for vals in &tables {
                 let strs: Vec<String> = vals.iter().map(|v| format!("v{v}")).collect();
                 let refs: Vec<&str> = strs.iter().map(String::as_str).collect();
                 c.push_table(d, vec![(None, refs)]);
             }
-            let idx = ValueIndex::build(&c);
-            let ti = scored % tables.len();
-            let col = &c.tables[ti].columns[0];
-            let mut funnel = CoherenceFunnel::default();
-            let (score, detail) = column_coherence_detailed(
-                &idx,
-                &col.distinct(),
-                CoherenceConfig::default(),
-                GlobalColId(ti as u32),
-                &mut funnel,
-            );
-            proptest::prop_assert_eq!(
-                &detail.pair_counts,
-                &pair_cooccurrences_probe(&idx, &detail.samples)
-            );
-            let oracle = column_coherence_excluding(
-                &idx,
-                &col.distinct(),
-                CoherenceConfig::default(),
-                GlobalColId(ti as u32),
-            );
-            proptest::prop_assert_eq!(score.to_bits(), oracle.to_bits());
+            let mut idx = ValueIndex::build(&c);
+            let mut columns = model_of(&c);
+            let mut next_gid = columns.len() as u32;
+            let cfg = CoherenceConfig::default();
+            assert_columns_match_probe(&idx, &columns, cfg);
+            for (op, target, vals, gap) in edits {
+                let mut vals: Vec<Sym> = vals.iter().map(|&v| syms[v as usize]).collect();
+                vals.sort_unstable();
+                vals.dedup();
+                match op {
+                    0 => {
+                        let gid = GlobalColId(next_gid + [0, 7, 100_000][gap]);
+                        next_gid = gid.0 + 1;
+                        idx.add_column(gid, vals.iter().copied());
+                        columns.push((gid, vals));
+                    }
+                    _ if columns.is_empty() => continue,
+                    1 => {
+                        let (gid, distinct) = columns.remove(target % columns.len());
+                        idx.remove_column(gid, distinct);
+                    }
+                    _ => {
+                        let at = target % columns.len();
+                        let (gid, distinct) = &mut columns[at];
+                        let (leaving, entering): (Vec<Sym>, Vec<Sym>) =
+                            vals.iter().partition(|v| distinct.contains(v));
+                        distinct.retain(|v| !leaving.contains(v));
+                        distinct.extend(&entering);
+                        idx.patch_column(*gid, leaving, entering);
+                    }
+                }
+                assert_columns_match_probe(&idx, &columns, cfg);
+            }
         }
     }
 }

@@ -9,6 +9,9 @@
 //!
 //! * [`engine::MapReduce`] — a deterministic parallel map → shuffle →
 //!   reduce over in-memory collections, built on std scoped threads;
+//! * [`engine::IdHasher`] / [`IdHashMap`] — the deterministic cheap
+//!   hasher for in-process maps keyed by interned ids (blocking's
+//!   posting and pair-count maps), beside the FNV-1a [`partition_of`];
 //! * [`cc`] — connected components via Hash-to-Min rounds
 //!   (Chitnis et al., paper reference \[13\]) and via union-find;
 //! * [`unionfind::UnionFind`] — disjoint sets with union by rank and
@@ -41,5 +44,5 @@ pub mod engine;
 pub mod unionfind;
 
 pub use cc::{connected_components_hash_to_min, connected_components_union_find};
-pub use engine::{partition_of, MapReduce};
+pub use engine::{partition_of, IdHashMap, IdHasher, MapReduce};
 pub use unionfind::UnionFind;
