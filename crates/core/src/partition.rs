@@ -15,18 +15,33 @@
 //!   weights take the minimum (most conflicting member pair governs);
 //! * stop when no mergeable pair remains.
 //!
-//! Implemented with a lazily-invalidated max-heap (stale entries are
-//! checked against per-partition versions on pop) and per-partition
-//! adjacency maps; overall `O(E log E · α)` with small constants. The
-//! divide-and-conquer variant ([`partition_by_components`]) first
+//! Implemented with a lazily-invalidated max-heap over per-partition
+//! adjacency maps. A popped entry `(pos, a, b)` is **valid iff both
+//! roots are alive, `pos` equals the current positive weight of the
+//! edge `a–b`, and that edge is still mergeable** — a function of the
+//! current graph only. Every mergeable edge has an entry carrying its
+//! current weight (pushed at the start, or by the merge that last
+//! changed it), so the first valid entry popped is the maximum
+//! mergeable edge under the `(pos, smaller a, smaller b)` order,
+//! whatever stale entries sit beside it; a stale entry that happens to
+//! match the current weight again *is* that edge. (Weights only grow,
+//! so a stale entry in fact pops after its edge's current one, whose
+//! merge killed a root; comparing weights makes validity hold without
+//! leaning on that.) A merge therefore pushes entries only for the
+//! edges it changed — the absorbed root's neighbours — and costs
+//! `O(min(deg a, deg b))` map updates and heap pushes, so a run costs
+//! `O((E + Σ_merges min-degree) · log E)`; the survivor's adjacency is
+//! never rescanned.
+//!
+//! The divide-and-conquer variant ([`partition_by_components`]) first
 //! splits the graph into positively-connected components (Appendix F /
 //! Hash-to-Min) and partitions each independently — identical results,
-//! embarrassingly parallel.
+//! with the non-trivial components scheduled largest first.
 
 use crate::config::SynthesisConfig;
-use crate::graph::CompatGraph;
-use mapsynth_mapreduce::{connected_components_union_find, MapReduce};
-use std::cmp::Ordering;
+use crate::graph::{CompatGraph, EdgeWeights};
+use mapsynth_mapreduce::{connected_components_union_find, IdHashMap, MapReduce};
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashMap};
 
 /// A disjoint partitioning of graph vertices. Groups are sorted
@@ -76,8 +91,6 @@ struct MergeCandidate {
     pos: f64,
     a: u32,
     b: u32,
-    ver_a: u64,
-    ver_b: u64,
 }
 
 impl PartialEq for MergeCandidate {
@@ -102,43 +115,39 @@ impl Ord for MergeCandidate {
 
 /// Run Algorithm 3 on the whole graph.
 pub fn greedy_partition(graph: &CompatGraph, cfg: &SynthesisConfig) -> Partitioning {
-    let n = graph.n;
+    Partitioning {
+        groups: greedy_groups(graph.n, &graph.edges, cfg.tau),
+    }
+}
+
+/// Algorithm 3 over `n` vertices and `edges` (`a < b`): the groups,
+/// each sorted, ordered by first member.
+fn greedy_groups(n: usize, edges: &[(u32, u32, EdgeWeights)], tau: f64) -> Vec<Vec<u32>> {
     // Per-partition adjacency: root vertex → (neighbor root → (pos, neg)).
-    let mut adj: Vec<HashMap<u32, (f64, f64)>> = vec![HashMap::new(); n];
-    for &(a, b, w) in &graph.edges {
+    let mut adj: Vec<IdHashMap<u32, (f64, f64)>> = vec![IdHashMap::default(); n];
+    let mut heap: BinaryHeap<MergeCandidate> = BinaryHeap::new();
+    for &(a, b, w) in edges {
         adj[a as usize].insert(b, (w.pos, w.neg));
         adj[b as usize].insert(a, (w.pos, w.neg));
+        if w.pos > 0.0 && w.neg >= tau {
+            heap.push(MergeCandidate { pos: w.pos, a, b });
+        }
     }
     let mut members: Vec<Vec<u32>> = (0..n as u32).map(|v| vec![v]).collect();
     let mut alive: Vec<bool> = vec![true; n];
-    let mut version: Vec<u64> = vec![0; n];
-
-    let mut heap: BinaryHeap<MergeCandidate> = BinaryHeap::new();
-    for &(a, b, w) in &graph.edges {
-        if w.pos > 0.0 && w.neg >= cfg.tau {
-            heap.push(MergeCandidate {
-                pos: w.pos,
-                a,
-                b,
-                ver_a: 0,
-                ver_b: 0,
-            });
-        }
-    }
 
     while let Some(cand) = heap.pop() {
         let (a, b) = (cand.a as usize, cand.b as usize);
-        // Lazy invalidation: stale version or dead partition.
-        if !alive[a] || !alive[b] || version[a] != cand.ver_a || version[b] != cand.ver_b {
+        // Lazy invalidation: a dead root, or a weight since changed.
+        if !alive[a] || !alive[b] {
             continue;
         }
         let Some(&(pos, neg)) = adj[a].get(&cand.b) else {
             continue;
         };
-        if pos <= 0.0 || neg < cfg.tau {
+        if pos != cand.pos || neg < tau {
             continue;
         }
-        debug_assert!((pos - cand.pos).abs() < 1e-12);
 
         // Merge the smaller adjacency into the larger (keep = larger).
         let (keep, gone) = if adj[a].len() >= adj[b].len() {
@@ -147,7 +156,6 @@ pub fn greedy_partition(graph: &CompatGraph, cfg: &SynthesisConfig) -> Partition
             (b, a)
         };
         alive[gone] = false;
-        version[keep] += 1;
         let moved_members = std::mem::take(&mut members[gone]);
         members[keep].extend(moved_members);
         let gone_adj = std::mem::take(&mut adj[gone]);
@@ -166,17 +174,12 @@ pub fn greedy_partition(graph: &CompatGraph, cfg: &SynthesisConfig) -> Partition
             let nb_adj = &mut adj[nb as usize];
             nb_adj.remove(&(gone as u32));
             nb_adj.insert(keep as u32, merged);
-        }
-        // Other neighbors of `keep` also need their back-pointers
-        // version-refreshed via new heap entries.
-        for (&nb, &(p2, n2)) in &adj[keep] {
-            if p2 > 0.0 && n2 >= cfg.tau {
+            // The one edge of `keep` this step changed.
+            if merged.0 > 0.0 && merged.1 >= tau {
                 heap.push(MergeCandidate {
-                    pos: p2,
+                    pos: merged.0,
                     a: (keep as u32).min(nb),
                     b: (keep as u32).max(nb),
-                    ver_a: version[(keep).min(nb as usize)],
-                    ver_b: version[(keep).max(nb as usize)],
                 });
             }
         }
@@ -191,7 +194,7 @@ pub fn greedy_partition(graph: &CompatGraph, cfg: &SynthesisConfig) -> Partition
         })
         .collect();
     groups.sort_by_key(|g| g[0]);
-    Partitioning { groups }
+    groups
 }
 
 /// Divide-and-conquer variant (paper Appendix F): split into
@@ -212,48 +215,48 @@ pub fn partition_by_components(
         .collect();
     let components = connected_components_union_find(graph.n, &pos_edges);
 
-    // Build a subgraph per non-trivial component.
+    // Vertex → its component, and its index within it (components are
+    // sorted, so local order is global order and `a < b` survives).
     let mut comp_of: Vec<u32> = vec![0; graph.n];
+    let mut local_of: Vec<u32> = vec![0; graph.n];
     for (ci, comp) in components.iter().enumerate() {
-        for &v in comp {
+        for (li, &v) in comp.iter().enumerate() {
             comp_of[v] = ci as u32;
+            local_of[v] = li as u32;
         }
     }
-    let mut comp_edges: Vec<Vec<(u32, u32, crate::graph::EdgeWeights)>> =
-        vec![Vec::new(); components.len()];
+    let mut comp_edges: Vec<Vec<(u32, u32, EdgeWeights)>> = vec![Vec::new(); components.len()];
     for &(a, b, w) in &graph.edges {
-        if comp_of[a as usize] == comp_of[b as usize] {
-            comp_edges[comp_of[a as usize] as usize].push((a, b, w));
+        let (a, b) = (a as usize, b as usize);
+        if comp_of[a] == comp_of[b] {
+            comp_edges[comp_of[a] as usize].push((local_of[a], local_of[b], w));
         }
         // Negative edges across components can never merge anyway.
     }
 
-    let jobs: Vec<(usize, &Vec<usize>)> = components.iter().enumerate().collect();
-    let results: Vec<Vec<Vec<u32>>> = mr.par_map(&jobs, |&(ci, comp)| {
-        if comp.len() == 1 {
-            return vec![vec![comp[0] as u32]];
-        }
-        // Local reindex.
-        let mut local_of: HashMap<u32, u32> = HashMap::new();
-        for (li, &v) in comp.iter().enumerate() {
-            local_of.insert(v as u32, li as u32);
-        }
-        let edges: Vec<(u32, u32, crate::graph::EdgeWeights)> = comp_edges[ci]
-            .iter()
-            .map(|&(a, b, w)| (local_of[&a], local_of[&b], w))
-            .collect();
-        let sub = CompatGraph::new(comp.len(), edges, Default::default());
-        let part = greedy_partition(&sub, cfg);
-        part.groups
+    // Only non-trivial components are jobs, largest first: the union-
+    // find emits components by first vertex, which says nothing about
+    // their cost, and the scheduler balances best when the long jobs
+    // start early.
+    let mut jobs: Vec<usize> = (0..components.len())
+        .filter(|&ci| components[ci].len() > 1)
+        .collect();
+    jobs.sort_by_key(|&ci| Reverse(comp_edges[ci].len()));
+    let results: Vec<Vec<Vec<u32>>> = mr.par_map(&jobs, |&ci| {
+        let comp = &components[ci];
+        greedy_groups(comp.len(), &comp_edges[ci], cfg.tau)
             .into_iter()
             .map(|g| g.into_iter().map(|v| comp[v as usize] as u32).collect())
             .collect()
     });
 
     let mut groups: Vec<Vec<u32>> = results.into_iter().flatten().collect();
-    for g in &mut groups {
-        g.sort_unstable();
-    }
+    groups.extend(
+        components
+            .iter()
+            .filter(|comp| comp.len() == 1)
+            .map(|comp| vec![comp[0] as u32]),
+    );
     groups.sort_by_key(|g| g[0]);
     Partitioning { groups }
 }
@@ -261,7 +264,94 @@ pub fn partition_by_components(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::EdgeWeights;
+    use proptest::prelude::*;
+
+    /// The predecessor of [`greedy_groups`], kept as the oracle: heap
+    /// entries carry per-root versions, and every merge re-pushes the
+    /// survivor's whole adjacency under its bumped version.
+    fn greedy_partition_versioned(graph: &CompatGraph, cfg: &SynthesisConfig) -> Partitioning {
+        let n = graph.n;
+        let mut adj: Vec<HashMap<u32, (f64, f64)>> = vec![HashMap::new(); n];
+        for &(a, b, w) in &graph.edges {
+            adj[a as usize].insert(b, (w.pos, w.neg));
+            adj[b as usize].insert(a, (w.pos, w.neg));
+        }
+        let mut members: Vec<Vec<u32>> = (0..n as u32).map(|v| vec![v]).collect();
+        let mut alive: Vec<bool> = vec![true; n];
+        let mut version: Vec<u64> = vec![0; n];
+
+        // Versions only order entries equal in `(pos, a, b)`.
+        let mut heap: BinaryHeap<(MergeCandidate, u64, u64)> = BinaryHeap::new();
+        for &(a, b, w) in &graph.edges {
+            if w.pos > 0.0 && w.neg >= cfg.tau {
+                heap.push((MergeCandidate { pos: w.pos, a, b }, 0, 0));
+            }
+        }
+
+        while let Some((cand, ver_a, ver_b)) = heap.pop() {
+            let (a, b) = (cand.a as usize, cand.b as usize);
+            if !alive[a] || !alive[b] || version[a] != ver_a || version[b] != ver_b {
+                continue;
+            }
+            let Some(&(pos, neg)) = adj[a].get(&cand.b) else {
+                continue;
+            };
+            if pos <= 0.0 || neg < cfg.tau {
+                continue;
+            }
+            assert!((pos - cand.pos).abs() < 1e-12);
+
+            let (keep, gone) = if adj[a].len() >= adj[b].len() {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            alive[gone] = false;
+            version[keep] += 1;
+            let moved_members = std::mem::take(&mut members[gone]);
+            members[keep].extend(moved_members);
+            let gone_adj = std::mem::take(&mut adj[gone]);
+            adj[keep].remove(&(gone as u32));
+            for (nb, (p2, n2)) in gone_adj {
+                if nb as usize == keep {
+                    continue;
+                }
+                let merged = {
+                    let entry = adj[keep].entry(nb).or_insert((0.0, 0.0));
+                    entry.0 += p2;
+                    entry.1 = entry.1.min(n2);
+                    *entry
+                };
+                let nb_adj = &mut adj[nb as usize];
+                nb_adj.remove(&(gone as u32));
+                nb_adj.insert(keep as u32, merged);
+            }
+            for (&nb, &(p2, n2)) in &adj[keep] {
+                if p2 > 0.0 && n2 >= cfg.tau {
+                    heap.push((
+                        MergeCandidate {
+                            pos: p2,
+                            a: (keep as u32).min(nb),
+                            b: (keep as u32).max(nb),
+                        },
+                        version[keep.min(nb as usize)],
+                        version[keep.max(nb as usize)],
+                    ));
+                }
+            }
+        }
+
+        let mut groups: Vec<Vec<u32>> = (0..n)
+            .filter(|&v| alive[v])
+            .map(|v| {
+                let mut g = std::mem::take(&mut members[v]);
+                g.sort_unstable();
+                g
+            })
+            .collect();
+        groups.sort_by_key(|g| g[0]);
+        Partitioning { groups }
+    }
 
     fn graph(n: usize, edges: Vec<(u32, u32, f64, f64)>) -> CompatGraph {
         CompatGraph::new(
@@ -395,5 +485,49 @@ mod tests {
         let p = greedy_partition(&g, &cfg());
         assert_eq!(p.groups, vec![vec![0, 1], vec![2, 3]]);
         assert!((p.objective(&g) - 0.9).abs() < 1e-9);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Weight validation pops in the order version validation did.
+        /// Positive weights come off a five-step grid, so heap ties —
+        /// and sums of merged edges that tie with untouched ones — are
+        /// the common case; `pos` 0 makes negative-only edges, and
+        /// `neg` sits on, just above and just below `tau`.
+        #[test]
+        fn prop_weight_validated_heap_matches_versioned(
+            n in 1usize..40,
+            edges in proptest::collection::vec((0u32..40, 0u32..40, 0u8..6, 0u8..6), 0..160),
+        ) {
+            let cfg = cfg();
+            let mut seen = std::collections::HashSet::new();
+            let edges: Vec<(u32, u32, f64, f64)> = edges
+                .into_iter()
+                .filter_map(|(a, b, p, ng)| {
+                    let (a, b) = (a.min(b), a.max(b));
+                    if a == b || b as usize >= n || !seen.insert((a, b)) {
+                        return None;
+                    }
+                    let pos = f64::from(p) * 0.125;
+                    let neg = match ng {
+                        0 => cfg.tau,
+                        1 => cfg.tau - 1e-9,
+                        2 => cfg.tau + 1e-9,
+                        3 => -0.9,
+                        _ => 0.0,
+                    };
+                    (pos > 0.0 || neg < 0.0).then_some((a, b, pos, neg))
+                })
+                .collect();
+            let mut sorted = edges;
+            sorted.sort_by_key(|&(a, b, _, _)| (a, b));
+            let g = graph(n, sorted);
+            let oracle = greedy_partition_versioned(&g, &cfg);
+            prop_assert_eq!(&greedy_partition(&g, &cfg), &oracle);
+            for workers in [1, 2, 3, 8] {
+                let by_comp = partition_by_components(&g, &cfg, &MapReduce::new(workers));
+                prop_assert_eq!(&by_comp, &oracle, "workers={}", workers);
+            }
+        }
     }
 }

@@ -838,9 +838,7 @@ fn resolve_and_union(
             }
             Resolver::MajorityVote => {
                 let pairs = resolve_majority_vote(space, tables, group);
-                let mut m = SynthesizedMapping::union_of(space, tables, group);
-                m.set_pairs(pairs);
-                m
+                SynthesizedMapping::over_group(space, tables, group, pairs)
             }
             _ => SynthesizedMapping::union_of(space, tables, group),
         });

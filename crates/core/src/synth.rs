@@ -37,24 +37,35 @@ impl SynthesizedMapping {
     /// Union the pairs of `group` (indices into `tables`) into a
     /// mapping. No conflict resolution — see [`crate::conflict`].
     pub fn union_of(space: &Arc<ValueSpace>, tables: &[NormBinary], group: &[u32]) -> Self {
-        let mut pair_set: HashSet<(NormId, NormId)> = HashSet::new();
-        let mut domains = HashSet::new();
-        let mut sources = HashSet::new();
-        for &ti in group {
-            let t = &tables[ti as usize];
-            domains.insert(t.domain);
-            sources.insert(t.source);
-            pair_set.extend(t.pairs.iter().copied());
-        }
-        let pair_ids = sort_by_strings(space, pair_set.into_iter().collect());
-        Self {
-            space: Arc::clone(space),
+        // Dedup by id before the string sort: comparing two ids is a
+        // fraction of comparing the strings they resolve to.
+        let mut pair_ids: Vec<(NormId, NormId)> = group
+            .iter()
+            .flat_map(|&ti| &tables[ti as usize].pairs)
+            .copied()
+            .collect();
+        pair_ids.sort_unstable();
+        pair_ids.dedup();
+        Self::over_group(space, tables, group, pair_ids)
+    }
+
+    /// A mapping over `group` asserting `pair_ids` — the group's union,
+    /// or what a resolver kept of it. Provenance counts come from the
+    /// group's tables.
+    pub(crate) fn over_group(
+        space: &Arc<ValueSpace>,
+        tables: &[NormBinary],
+        group: &[u32],
+        pair_ids: Vec<(NormId, NormId)>,
+    ) -> Self {
+        let members = || group.iter().map(|&ti| &tables[ti as usize]);
+        Self::from_parts(
+            Arc::clone(space),
             pair_ids,
-            member_tables: group.to_vec(),
-            domains: domains.len(),
-            source_tables: sources.len(),
-            tables_removed: 0,
-        }
+            group.to_vec(),
+            distinct(members().map(|t| t.domain).collect()),
+            distinct(members().map(|t| t.source).collect()),
+        )
     }
 
     /// Assemble a mapping from parts (tests, external loaders). Pairs
@@ -75,12 +86,6 @@ impl SynthesizedMapping {
             source_tables,
             tables_removed: 0,
         }
-    }
-
-    /// Replace the pair set (conflict-resolution variants). Pairs are
-    /// re-sorted by their strings.
-    pub fn set_pairs(&mut self, pair_ids: Vec<(NormId, NormId)>) {
-        self.pair_ids = sort_by_strings(&self.space, pair_ids);
     }
 
     /// The value space the pair ids resolve in.
@@ -154,6 +159,13 @@ impl SynthesizedMapping {
     pub fn cmp_pairs(&self, other: &Self) -> std::cmp::Ordering {
         self.pair_strs().cmp(other.pair_strs())
     }
+}
+
+/// Number of distinct values.
+fn distinct<T: Ord>(mut values: Vec<T>) -> usize {
+    values.sort_unstable();
+    values.dedup();
+    values.len()
 }
 
 /// Sort interned pairs by their normalized strings and dedup.

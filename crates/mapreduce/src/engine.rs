@@ -8,7 +8,11 @@
 //!
 //! Workers are std scoped threads (`std::thread::scope`), so jobs can
 //! borrow their inputs without any `'static` bound or external
-//! runtime.
+//! runtime. The shuffle jobs split their input into one static chunk
+//! per worker; [`MapReduce::par_map`], which serves the pipeline's
+//! heavy-tailed stages, schedules dynamically — workers pull small
+//! blocks off a shared cursor — and runs on the calling thread when
+//! there is one worker or at most one input.
 //!
 //! The engine is intentionally synchronous and in-memory: the paper's
 //! scalability argument (blocking keeps `|E| ≪ N²`; near-linear scaling
@@ -18,6 +22,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// The Map-Reduce engine. Holds only the worker count; each job is a
@@ -257,30 +262,56 @@ impl MapReduce {
         partitions
     }
 
-    /// Convenience: parallel map over inputs, preserving input order.
+    /// Parallel map over inputs, preserving input order.
+    ///
+    /// Workers pull blocks of `max(1, n / (workers · 16))` consecutive
+    /// inputs off one shared cursor until it runs past the end, and the
+    /// blocks are reassembled by start position — so a worker that
+    /// draws cheap inputs simply draws more of them, whatever order the
+    /// expensive ones arrive in. With one worker, or at most one input,
+    /// `f` runs on the calling thread and no thread is spawned.
     pub fn par_map<I, O, F>(&self, inputs: &[I], f: F) -> Vec<O>
     where
         I: Sync,
         O: Send,
         F: Fn(&I) -> O + Sync,
     {
-        let chunk = inputs.len().div_ceil(self.workers).max(1);
-        let mut results: Vec<(usize, Vec<O>)> = thread::scope(|s| {
-            let handles: Vec<_> = inputs
-                .chunks(chunk)
-                .enumerate()
-                .map(|(ci, ch)| {
-                    let f = &f;
-                    s.spawn(move || (ci, ch.iter().map(f).collect::<Vec<O>>()))
+        let n = inputs.len();
+        if self.workers == 1 || n <= 1 {
+            return inputs.iter().map(f).collect();
+        }
+        let block = (n / (self.workers * 16)).max(1);
+        // Relaxed: the cursor only hands out disjoint index ranges; the
+        // inputs are shared before the spawn and every result returns
+        // through `join`, so it publishes no other data.
+        let cursor = AtomicUsize::new(0);
+        let mut blocks: Vec<(usize, Vec<O>)> = thread::scope(|s| {
+            let handles: Vec<_> = (0..self.workers.min(n))
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut done: Vec<(usize, Vec<O>)> = Vec::new();
+                        loop {
+                            let start = cursor.fetch_add(block, Ordering::Relaxed);
+                            if start >= n {
+                                break done;
+                            }
+                            let end = (start + block).min(n);
+                            done.push((start, inputs[start..end].iter().map(&f).collect()));
+                        }
+                    })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("map worker panicked"))
+                .flat_map(|h| h.join().expect("map worker panicked"))
                 .collect()
         });
-        results.sort_by_key(|(ci, _)| *ci);
-        results.into_iter().flat_map(|(_, v)| v).collect()
+        blocks.sort_unstable_by_key(|&(start, _)| start);
+        let mut out = Vec::with_capacity(n);
+        for (_, block_out) in blocks {
+            out.extend(block_out);
+        }
+        out
     }
 }
 
@@ -494,10 +525,66 @@ mod tests {
 
     #[test]
     fn par_map_preserves_order() {
+        for workers in [1usize, 2, 3, 8] {
+            let mr = MapReduce::new(workers);
+            for n in [0, 1, workers - 1, workers, 1000] {
+                let inputs: Vec<usize> = (0..n).collect();
+                let out = mr.par_map(&inputs, |&x| x * x);
+                let want: Vec<usize> = inputs.iter().map(|&x| x * x).collect();
+                assert_eq!(out, want, "workers={workers} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn par_map_propagates_a_panic_inline_and_threaded() {
         let inputs: Vec<u32> = (0..100).collect();
-        let mr = MapReduce::new(5);
-        let out = mr.par_map(&inputs, |&x| x * x);
-        assert_eq!(out, inputs.iter().map(|&x| x * x).collect::<Vec<_>>());
+        for workers in [1, 4] {
+            let mr = MapReduce::new(workers);
+            let result = std::panic::catch_unwind(|| {
+                mr.par_map(&inputs, |&x| {
+                    assert!(x != 57, "boom");
+                    x
+                })
+            });
+            assert!(result.is_err(), "workers={workers}");
+        }
+    }
+
+    /// A front-loaded job list — the shape `partition_by_components`
+    /// submits — must not be one worker's share. Items 0 and 2 head
+    /// the first two blocks (64 inputs, 2 workers: blocks of 2) and
+    /// each waits until the other has started, which only two
+    /// different threads can do; the deadline turns a scheduler that
+    /// hands both to one thread into a failure instead of a hang.
+    #[test]
+    fn par_map_spreads_a_heavy_head_over_workers() {
+        use std::sync::atomic::AtomicBool;
+        use std::time::{Duration, Instant};
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let inputs: Vec<usize> = (0..64).collect();
+        let served_by = MapReduce::new(2).par_map(&inputs, |&i| {
+            if i == 0 || i == 2 {
+                let me = i / 2;
+                started[me].store(true, Ordering::SeqCst);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !started[1 - me].load(Ordering::SeqCst) && Instant::now() < deadline {
+                    thread::yield_now();
+                }
+            }
+            thread::current().id()
+        });
+        let head: std::collections::HashSet<_> = served_by[..8].iter().collect();
+        assert!(head.len() > 1, "one thread served the whole heavy head");
+    }
+
+    #[test]
+    fn par_map_runs_inline_with_one_worker_or_one_input() {
+        let caller = thread::current().id();
+        let ids = MapReduce::new(1).par_map(&[0u8; 10], |_| thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
+        let ids = MapReduce::new(4).par_map(&[0u8; 1], |_| thread::current().id());
+        assert_eq!(ids, vec![caller]);
     }
 
     #[test]

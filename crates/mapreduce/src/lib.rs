@@ -8,7 +8,9 @@
 //! in-process:
 //!
 //! * [`engine::MapReduce`] — a deterministic parallel map → shuffle →
-//!   reduce over in-memory collections, built on std scoped threads;
+//!   reduce over in-memory collections, built on std scoped threads,
+//!   plus [`MapReduce::par_map`]: an input-ordered parallel map whose
+//!   workers pull blocks off a shared cursor, so uneven inputs balance;
 //! * [`engine::IdHasher`] / [`IdHashMap`] — the deterministic cheap
 //!   hasher for in-process maps keyed by interned ids (blocking's
 //!   posting and pair-count maps), beside the FNV-1a [`partition_of`];
