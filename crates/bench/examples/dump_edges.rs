@@ -3,87 +3,46 @@
 //! verification across scoring refactors:
 //!
 //! ```text
-//! git stash / checkout old rev
-//! cargo run --release -p mapsynth-bench --example dump_edges /tmp/before.txt
-//! git checkout new rev
-//! cargo run --release -p mapsynth-bench --example dump_edges /tmp/after.txt
-//! cmp /tmp/before.txt /tmp/after.txt
+//! cargo run --release -p mapsynth-bench --example dump_edges -- OUT [TABLES] [--delta | --stream | --faults]
 //! ```
 //!
-//! With a trailing `--delta` argument the dump is taken **after**
-//! applying the standard 5% incremental delta
-//! (`mapsynth_bench::bench_delta`) through `session.apply_delta` —
-//! the committed golden file `crates/bench/golden/delta_edges_200.txt`
-//! is this mode at 200 tables, regenerated via:
-//!
-//! ```text
-//! cargo run --release -p mapsynth-bench --example dump_edges -- \
-//!     crates/bench/golden/delta_edges_200.txt 200 --delta
-//! ```
-//!
-//! With a trailing `--stream` argument the dump is taken **after**
-//! the full sustained row-delta stream
-//! (`mapsynth_bench::run_delta_stream`: `STREAM_DELTAS` row patches,
-//! table churn and compactions) — the committed golden file
-//! `crates/bench/golden/delta_stream_edges_200.txt` is this mode at
-//! `STREAM_TABLES` tables, regenerated via:
-//!
-//! ```text
-//! cargo run --release -p mapsynth-bench --example dump_edges -- \
-//!     crates/bench/golden/delta_stream_edges_200.txt 200 --stream
-//! ```
-//!
-//! With a trailing `--faults` argument the dump is taken **after**
-//! the deterministic fault-injection stream
-//! (`mapsynth_bench::fault::run_fault_stream`: malformed deltas,
-//! induced apply panics and publish failures at planned positions,
-//! each rejected delta rolled back) — the committed golden file
-//! `crates/bench/golden/fault_stream_edges_100.txt` is this mode at
-//! `FAULT_STREAM_TABLES` tables, regenerated via:
-//!
-//! ```text
-//! cargo run --release -p mapsynth-bench --example dump_edges -- \
-//!     crates/bench/golden/fault_stream_edges_100.txt 100 --faults
-//! ```
+//! A trailing mode takes the dump after the standard 5% delta
+//! (`mapsynth_bench::post_delta_edge_dump`), after the sustained
+//! row-delta stream (`post_stream_edge_dump`) or after the
+//! fault-injection stream (`fault::post_fault_stream_edge_dump`). The
+//! committed goldens under `crates/bench/golden/` are these three
+//! modes; `pipeline_baseline --check` prints the command that
+//! regenerates one when it drifts.
 
 use mapsynth::pipeline::{PipelineConfig, SynthesisSession};
 use mapsynth_bench::fault::{post_fault_stream_edge_dump, FAULT_STREAM_DELTAS};
-use mapsynth_bench::{bench_delta, format_edges, post_stream_edge_dump, STREAM_DELTAS};
+use mapsynth_bench::{format_edges, post_delta_edge_dump, post_stream_edge_dump, STREAM_DELTAS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let tables: usize = args.get(1).and_then(|v| v.parse().ok()).unwrap_or(600);
-    let delta_mode = args.iter().any(|a| a == "--delta");
-    let stream_mode = args.iter().any(|a| a == "--stream");
-    let fault_mode = args.iter().any(|a| a == "--faults");
+    let mode = |flag: &str| args.iter().any(|a| a == flag);
     let path = args.first().cloned().unwrap_or_else(|| "edges.txt".into());
 
-    let (out, edges, label) = if fault_mode {
+    let (out, label) = if mode("--faults") {
         let out = post_fault_stream_edge_dump(tables, FAULT_STREAM_DELTAS);
-        let edges = out.lines().count();
-        (out, edges, " (post-fault-stream)")
-    } else if stream_mode {
-        let out = post_stream_edge_dump(tables, STREAM_DELTAS);
-        let edges = out.lines().count();
-        (out, edges, " (post-stream)")
+        (out, " (post-fault-stream)")
+    } else if mode("--stream") {
+        (
+            post_stream_edge_dump(tables, STREAM_DELTAS),
+            " (post-stream)",
+        )
+    } else if mode("--delta") {
+        (post_delta_edge_dump(tables), " (post-delta)")
     } else {
-        let mut wc = mapsynth_bench::bench_corpus(tables);
+        let wc = mapsynth_bench::bench_corpus(tables);
         let mut session = SynthesisSession::new(PipelineConfig::default());
         session.prepare(&wc.corpus);
-        if delta_mode {
-            let delta = bench_delta(&mut wc.corpus, tables);
-            session
-                .apply_delta(&wc.corpus, &delta)
-                .expect("valid delta");
-        }
-        let graph = session.graph(&session.config().synthesis);
-        let out = format_edges(&graph);
         (
-            out,
-            graph.edges.len(),
-            if delta_mode { " (post-delta)" } else { "" },
+            format_edges(&session.graph(&session.config().synthesis)),
+            "",
         )
     };
     std::fs::write(&path, &out).unwrap();
-    eprintln!("wrote {edges} edges to {path}{label}");
+    eprintln!("wrote {} edges to {path}{label}", out.lines().count());
 }

@@ -1,21 +1,22 @@
 //! # mapsynth-bench
 //!
-//! Shared fixtures for the Criterion benchmarks. The benches map to
-//! the paper's evaluation as follows:
+//! Shared fixtures for the Criterion micro-benchmarks and the
+//! `pipeline_baseline` tiers ([`harness`] holds the tiers' record,
+//! renderer and check engine). The benches are kernel ablations of the
+//! paper's algorithms; the paper's figures themselves are the `eval`
+//! crate's `experiments` subcommands. Every bench runs in CI's smoke
+//! step:
 //!
 //! | Bench | Paper artifact |
 //! |---|---|
-//! | `fig7_quality` | Figure 7 — per-method synthesis quality workload |
-//! | `fig8_runtime` | Figure 8 — per-method end-to-end runtime |
-//! | `fig9_scalability` | Figure 9 — pipeline runtime vs corpus fraction |
 //! | `micro_edit_distance` | Algorithm 2 ablation: banded vs bit-parallel Myers vs full DP, across length buckets |
 //! | `micro_blocking` | §4.1 ablation: blocked vs all-pairs scoring |
 //! | `micro_coherence` | §3.1 kernel: `column_coherence_detailed` per structural column and per list probe, at 600 and 7,500 tables |
-//! | `micro_partition` | Algorithm 3: lazy-heap greedy merge |
+//! | `micro_partition` | Algorithms 3–4: greedy partition, conflict resolution, majority vote, union |
 //! | `micro_scoring` | §4.1 hot path: shared `ScoringContext` vs throwaway per-pair scoring |
-//! | `apps_lookup` | §1 mapping-index containment lookup (Bloom) |
 
 pub mod fault;
+pub mod harness;
 pub mod recovery;
 
 use mapsynth::delta::CorpusDelta;

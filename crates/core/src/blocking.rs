@@ -155,8 +155,8 @@ pub struct BlockingIndex {
 
 impl BlockingIndex {
     /// Build the blocking index, qualifying pairs, and stats:
-    /// partition blocking keys by hash (the same FNV-1a partitioner the
-    /// shuffle uses) into `shards` independent groups, build each
+    /// partition blocking keys by hash (the FNV-1a
+    /// [`partition_of`]) into `shards` independent groups, build each
     /// shard's posting lists and pair contributions in parallel, then
     /// stitch.
     ///
@@ -232,58 +232,34 @@ impl BlockingIndex {
         (index, pairs, stats)
     }
 
-    /// The unsharded two-job Map-Reduce build — the reference
-    /// implementation [`build_sharded`](Self::build_sharded) must match
-    /// bit-for-bit (kept as the oracle for the shard-invariance tests).
+    /// The sequential build — the reference implementation
+    /// [`build_sharded`](Self::build_sharded) must match bit-for-bit
+    /// (kept as the oracle for the shard-invariance tests): one pass
+    /// over the tables into one posting map, then one pass over the
+    /// posting lists into one pair-count map.
     pub fn build_unsharded(
         space: &ValueSpace,
         tables: &[NormBinary],
         cfg: &SynthesisConfig,
-        mr: &MapReduce,
     ) -> (Self, Vec<(u32, u32)>, BlockingStats) {
-        // Job 1 — inverted index: (kind, key) → posting list.
-        let indexed: Vec<(u32, &NormBinary)> = tables
-            .iter()
-            .enumerate()
-            .map(|(ti, t)| (ti as u32, t))
-            .collect();
-        let postings: Vec<((u8, u32, u32), Vec<u32>)> = mr.run(
-            &indexed,
-            |&(ti, t)| {
-                table_keys(space, t, cfg)
-                    .into_iter()
-                    .map(|k| (k, ti))
-                    .collect()
-            },
-            // Values arrive in input order (ascending table index); a
-            // table emits each key at most once, so the list is
-            // already deduped.
-            |_key, tis| tis,
-        );
-
+        let mut postings = Postings::default();
+        for (ti, t) in tables.iter().enumerate() {
+            // Tables arrive in index order and emit each key at most
+            // once, so every list is ascending and deduped.
+            for key in table_keys(space, t, cfg) {
+                postings.entry(key).or_default().push(ti as u32);
+            }
+        }
         let sizes: Vec<u32> = tables.iter().map(|t| t.len() as u32).collect();
-
-        // Job 2 — pair counting: (a, b, kind) → shared-key count. The
-        // per-worker combiner pre-sums counts during the map phase, so
-        // shuffle size is bounded by distinct pairs (× workers), not
-        // by total key co-occurrences.
-        let sizes_ref = &sizes;
-        let counted: Vec<((u32, u32, u8), u32)> = mr.run_combining(
-            &postings,
-            |((kind, _, _), tis)| {
-                let mut out = Vec::new();
-                contribution(tis, *kind, sizes_ref, cfg.max_key_fanout, |p| {
-                    out.push((p, 1u32));
-                });
-                out
-            },
-            |acc, v| *acc += v,
-            |_pair, counts| counts.iter().sum::<u32>(),
-        );
-
+        let mut pair_counts = PairCounts::default();
+        for (&(kind, _, _), tis) in &postings {
+            contribution(tis, kind, &sizes, cfg.max_key_fanout, |p| {
+                *pair_counts.entry(p).or_insert(0) += 1;
+            });
+        }
         let index = Self {
-            postings: postings.into_iter().collect(),
-            pair_counts: counted.into_iter().collect(),
+            postings,
+            pair_counts,
             sizes,
         };
         let (pairs, stats) = index.pairs(cfg);
@@ -604,7 +580,7 @@ mod tests {
         for workers in [1usize, 2, 8] {
             let mr = MapReduce::new(workers);
             let (ref_index, ref_pairs, ref_stats) =
-                BlockingIndex::build_unsharded(&space, &t, &cfg, &mr);
+                BlockingIndex::build_unsharded(&space, &t, &cfg);
             for shards in [1usize, 2, 8] {
                 let (index, pairs, stats) =
                     BlockingIndex::build_sharded(&space, &t, &cfg, &mr, shards);
@@ -635,7 +611,7 @@ mod tests {
         let (space, t) = setup(rows);
         let cfg = SynthesisConfig::default();
         let mr = MapReduce::new(2);
-        let (fresh, fresh_pairs, _) = BlockingIndex::build_unsharded(&space, &t, &cfg, &mr);
+        let (fresh, fresh_pairs, _) = BlockingIndex::build_unsharded(&space, &t, &cfg);
         for shards in [1usize, 2, 8] {
             let (mut index, _, _) =
                 BlockingIndex::build_sharded(&space, &t[..3], &cfg, &mr, shards);

@@ -28,8 +28,8 @@ pub struct SynthesisConfig {
     pub use_negative: bool,
     /// Per-blocking-key fanout cap: keys (value pairs / left values)
     /// shared by more than this many tables contribute no candidate
-    /// pairs (the tables will meet through rarer keys). Bounds shuffle
-    /// size exactly like the paper's inverted-index re-grouping.
+    /// pairs (the tables will meet through rarer keys). Bounds the pair
+    /// count exactly like the paper's inverted-index re-grouping.
     pub max_key_fanout: usize,
     /// Skip approximate matching for table pairs whose cross product
     /// exceeds this bound (cost guard; exact matching still applies).

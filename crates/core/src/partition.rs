@@ -34,8 +34,9 @@
 //! never rescanned.
 //!
 //! The divide-and-conquer variant ([`partition_by_components`]) first
-//! splits the graph into positively-connected components (Appendix F /
-//! Hash-to-Min) and partitions each independently — identical results,
+//! splits the graph into positively-connected components (Appendix F;
+//! union-find computes the components the paper's Hash-to-Min rounds
+//! do) and partitions each independently — identical results,
 //! with the non-trivial components scheduled largest first.
 
 use crate::config::SynthesisConfig;

@@ -88,7 +88,7 @@ pub struct ValueArtifact {
 /// `graph_detail` block of `BENCH_pipeline.json`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScoringDetail {
-    /// Candidate-pair blocking (two Map-Reduce jobs).
+    /// Candidate-pair blocking (the key-sharded posting-list build).
     pub blocking: Duration,
     /// Per-table sorted-view construction.
     pub index_build: Duration,

@@ -343,7 +343,7 @@ fn intern_candidates(
     let normalized: Vec<String> = mr.par_map(&distinct, |&sym| normalize(strs.resolve(sym)));
 
     // Route each position to its shard by the hash of the normalized
-    // string — the same stable partitioner the shuffle uses. Positions
+    // string — the same stable partitioner blocking shards by. Positions
     // stay ascending within a shard, so each shard sees its strings in
     // global first-occurrence order.
     let shards = shards.max(1);

@@ -158,8 +158,7 @@ proptest! {
         let (ref_space, ref_tables, _) =
             build_value_space_sharded(&corpus.interner, &cands, &dict, &mr, 1);
         let reference = observe_space(&ref_space, &ref_tables);
-        let (_, ref_pairs, ref_stats) =
-            BlockingIndex::build_unsharded(&ref_space, &ref_tables, &cfg, &mr);
+        let (_, ref_pairs, ref_stats) = BlockingIndex::build_unsharded(&ref_space, &ref_tables, &cfg);
 
         // The extension reference: build on a prefix, extend with the
         // rest, single shard.

@@ -1,15 +1,12 @@
 //! Connected components.
 //!
-//! Appendix F: the paper uses the Hash-to-Min algorithm (reference
-//! \[13\]) on Map-Reduce to divide the compatibility graph into
-//! components connected by non-trivial positive edges, then partitions
-//! each component independently. We implement Hash-to-Min as rounds of
-//! [`MapReduce`] jobs, plus a direct union-find variant used as the
-//! fast path and as a cross-check in tests.
+//! Appendix F: the paper divides the compatibility graph into
+//! components connected by non-trivial positive edges with Hash-to-Min
+//! rounds on Map-Reduce (reference \[13\]), then partitions each
+//! component independently. In process, union-find computes the same
+//! components directly.
 
-use crate::engine::MapReduce;
 use crate::unionfind::UnionFind;
-use std::collections::{BTreeSet, HashMap};
 
 /// Connected components via union-find. `n` vertices, undirected
 /// `edges`. Returns components as sorted vertex lists, sorted by first
@@ -22,106 +19,9 @@ pub fn connected_components_union_find(n: usize, edges: &[(u32, u32)]) -> Vec<Ve
     uf.groups()
 }
 
-/// Connected components via the Hash-to-Min Map-Reduce algorithm
-/// (Chitnis et al., ICDE 2013 — paper reference \[13\]).
-///
-/// Every vertex starts with a cluster `{v} ∪ neighbors(v)`. Each round,
-/// every vertex sends its full cluster to the minimum member and its
-/// minimum member to everyone else; clusters converge in
-/// O(log d) rounds to "min vertex knows the whole component".
-pub fn connected_components_hash_to_min(
-    mr: &MapReduce,
-    n: usize,
-    edges: &[(u32, u32)],
-) -> Vec<Vec<usize>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    // clusters[v] = current cluster of v (always contains v).
-    let mut adjacency: Vec<BTreeSet<u32>> = (0..n).map(|v| BTreeSet::from([v as u32])).collect();
-    for &(a, b) in edges {
-        adjacency[a as usize].insert(b);
-        adjacency[b as usize].insert(a);
-    }
-    let mut clusters = adjacency;
-
-    loop {
-        // One Hash-to-Min round as a Map-Reduce job.
-        // Map: vertex v with cluster C_v, m = min(C_v):
-        //   emit (m, C_v) and (u, {m}) for every other u in C_v.
-        let input: Vec<(u32, Vec<u32>)> = clusters
-            .iter()
-            .enumerate()
-            .map(|(v, c)| (v as u32, c.iter().copied().collect()))
-            .collect();
-        let reduced = mr.run(
-            &input,
-            |(_v, cluster): &(u32, Vec<u32>)| {
-                let m = cluster[0]; // sorted: min first
-                let mut out: Vec<(u32, Vec<u32>)> = vec![(m, cluster.clone())];
-                for &u in &cluster[1..] {
-                    out.push((u, vec![m]));
-                }
-                out
-            },
-            |_k, vs: Vec<Vec<u32>>| {
-                let mut merged = BTreeSet::new();
-                for v in vs {
-                    merged.extend(v);
-                }
-                merged
-            },
-        );
-        // Rebuild cluster table; vertices that received nothing keep {v}.
-        let mut next: Vec<BTreeSet<u32>> = (0..n).map(|v| BTreeSet::from([v as u32])).collect();
-        let mut changed = false;
-        for (v, cluster) in reduced {
-            let slot = &mut next[v as usize];
-            let mut cluster = cluster;
-            cluster.insert(v);
-            if *slot != cluster {
-                *slot = cluster;
-            }
-        }
-        for v in 0..n {
-            if next[v] != clusters[v] {
-                changed = true;
-                break;
-            }
-        }
-        clusters = next;
-        if !changed {
-            break;
-        }
-    }
-
-    // At convergence, the min vertex of each component holds the full
-    // component; every other vertex holds {min, v}.
-    let mut label: Vec<u32> = (0..n as u32).collect();
-    for (v, c) in clusters.iter().enumerate() {
-        label[v] = *c.iter().next().expect("cluster always contains v");
-    }
-    // A vertex's label is the component min; group by it.
-    let mut by_label: HashMap<u32, Vec<usize>> = HashMap::new();
-    for (v, &l) in label.iter().enumerate() {
-        by_label.entry(l).or_default().push(v);
-    }
-    let mut out: Vec<Vec<usize>> = by_label.into_values().collect();
-    for g in &mut out {
-        g.sort_unstable();
-    }
-    out.sort_by_key(|g| g[0]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    fn mr() -> MapReduce {
-        MapReduce::new(4)
-    }
 
     #[test]
     fn simple_components() {
@@ -129,22 +29,11 @@ mod tests {
         let edges = vec![(0, 1), (1, 2), (3, 4)];
         let want = vec![vec![0, 1, 2], vec![3, 4], vec![5]];
         assert_eq!(connected_components_union_find(6, &edges), want);
-        assert_eq!(connected_components_hash_to_min(&mr(), 6, &edges), want);
-    }
-
-    #[test]
-    fn chain_converges() {
-        // Long chain exercises multi-round convergence.
-        let n = 64;
-        let edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i as u32, i as u32 + 1)).collect();
-        let got = connected_components_hash_to_min(&mr(), n, &edges);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0], (0..n).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_graph() {
-        assert!(connected_components_hash_to_min(&mr(), 0, &[]).is_empty());
+        assert!(connected_components_union_find(0, &[]).is_empty());
         let got = connected_components_union_find(3, &[]);
         assert_eq!(got, vec![vec![0], vec![1], vec![2]]);
     }
@@ -154,23 +43,5 @@ mod tests {
         let edges = vec![(0, 0), (0, 1), (1, 0), (0, 1)];
         let want = vec![vec![0, 1], vec![2]];
         assert_eq!(connected_components_union_find(3, &edges), want);
-        assert_eq!(connected_components_hash_to_min(&mr(), 3, &edges), want);
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-        #[test]
-        fn prop_hash_to_min_matches_union_find(
-            n in 1usize..24,
-            edges in proptest::collection::vec((0u32..24, 0u32..24), 0..40),
-        ) {
-            let edges: Vec<(u32, u32)> = edges
-                .into_iter()
-                .filter(|&(a, b)| (a as usize) < n && (b as usize) < n)
-                .collect();
-            let a = connected_components_union_find(n, &edges);
-            let b = connected_components_hash_to_min(&mr(), n, &edges);
-            prop_assert_eq!(a, b);
-        }
     }
 }

@@ -1,18 +1,14 @@
-//! A miniature in-process Map-Reduce engine.
+//! The in-process parallel map the pipeline's stages run on.
 //!
-//! Mirrors the structure of the paper's jobs: a *map* phase emits
-//! `(key, value)` pairs from input records in parallel, a *shuffle*
-//! groups pairs by key into hash partitions, and a *reduce* phase folds
-//! each key group in parallel. Results are returned sorted by key so
-//! runs are deterministic regardless of worker interleaving.
-//!
-//! Workers are std scoped threads (`std::thread::scope`), so jobs can
-//! borrow their inputs without any `'static` bound or external
-//! runtime. The shuffle jobs split their input into one static chunk
-//! per worker; [`MapReduce::par_map`], which serves the pipeline's
-//! heavy-tailed stages, schedules dynamically — workers pull small
-//! blocks off a shared cursor — and runs on the calling thread when
-//! there is one worker or at most one input.
+//! The paper's jobs are Map-Reduce jobs on a cluster; here every stage
+//! is a [`MapReduce::par_map`] over in-memory records, and the grouping
+//! a shuffle would do is done by the caller on the map's input-ordered
+//! output — key-sharded by [`partition_of`] where a stage shards.
+//! Workers are std scoped threads (`std::thread::scope`), so a map can
+//! borrow its inputs without any `'static` bound or external runtime;
+//! they pull small blocks off a shared cursor, so heavy-tailed inputs
+//! balance, and the map runs on the calling thread when there is one
+//! worker or at most one input.
 //!
 //! The engine is intentionally synchronous and in-memory: the paper's
 //! scalability argument (blocking keeps `|E| ≪ N²`; near-linear scaling
@@ -25,7 +21,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
-/// The Map-Reduce engine. Holds only the worker count; each job is a
+/// The parallel-map engine. Holds only the worker count; each map is a
 /// self-contained call.
 #[derive(Clone, Copy, Debug)]
 pub struct MapReduce {
@@ -39,7 +35,7 @@ impl Default for MapReduce {
 }
 
 /// Number of workers used by [`MapReduce::default`]: available
-/// parallelism, capped to keep shuffle overhead sane.
+/// parallelism, capped at 16 (every map spawns its workers afresh).
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -58,208 +54,6 @@ impl MapReduce {
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Run a full map → shuffle → reduce job.
-    ///
-    /// * `inputs` — the input records;
-    /// * `mapper` — emits any number of `(K, V)` pairs per record;
-    /// * `reducer` — folds one key's values (in mapper-emission order
-    ///   per partition, then concatenated in input order) to an output.
-    ///
-    /// Returns `(key, output)` pairs sorted by key.
-    pub fn run<I, K, V, O, M, R>(&self, inputs: &[I], mapper: M, reducer: R) -> Vec<(K, O)>
-    where
-        I: Sync,
-        K: Send + Hash + Eq + Ord + Clone,
-        V: Send,
-        O: Send,
-        M: Fn(&I) -> Vec<(K, V)> + Sync,
-        R: Fn(&K, Vec<V>) -> O + Sync,
-    {
-        let grouped = self.map_and_shuffle(inputs, &mapper);
-        // Reduce each partition in parallel.
-        let results: Vec<Vec<(K, O)>> = thread::scope(|s| {
-            let handles: Vec<_> = grouped
-                .into_iter()
-                .map(|part| {
-                    let reducer = &reducer;
-                    s.spawn(move || {
-                        let mut out: Vec<(K, O)> = part
-                            .into_iter()
-                            .map(|(k, vs)| {
-                                let o = reducer(&k, vs);
-                                (k, o)
-                            })
-                            .collect();
-                        out.sort_by(|a, b| a.0.cmp(&b.0));
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("reduce worker panicked"))
-                .collect()
-        });
-        let mut flat: Vec<(K, O)> = results.into_iter().flatten().collect();
-        flat.sort_by(|a, b| a.0.cmp(&b.0));
-        flat
-    }
-
-    /// Like [`run`](Self::run), but with a per-worker **combiner**
-    /// applied during the map phase: values a single mapper worker
-    /// emits for the same key are folded together before the shuffle,
-    /// bounding shuffle size by `workers × distinct keys` instead of
-    /// total emissions — the classic Map-Reduce combiner optimization
-    /// for aggregation jobs.
-    ///
-    /// `combine` must be commutative and associative (it is applied in
-    /// chunk-local emission order); the reducer sees one pre-combined
-    /// value per (mapper worker, key), in worker order.
-    pub fn run_combining<I, K, V, O, M, C, R>(
-        &self,
-        inputs: &[I],
-        mapper: M,
-        combine: C,
-        reducer: R,
-    ) -> Vec<(K, O)>
-    where
-        I: Sync,
-        K: Send + Hash + Eq + Ord + Clone,
-        V: Send,
-        O: Send,
-        M: Fn(&I) -> Vec<(K, V)> + Sync,
-        C: Fn(&mut V, V) + Sync,
-        R: Fn(&K, Vec<V>) -> O + Sync,
-    {
-        let p = self.workers;
-        let chunk = inputs.len().div_ceil(p).max(1);
-        // Map with in-flight combining: one HashMap<K, V> per
-        // (mapper worker, destination partition).
-        let mut collected: Vec<(usize, Vec<HashMap<K, V>>)> = thread::scope(|s| {
-            let handles: Vec<_> = inputs
-                .chunks(chunk)
-                .enumerate()
-                .map(|(ci, chunk_inputs)| {
-                    let mapper = &mapper;
-                    let combine = &combine;
-                    s.spawn(move || {
-                        let mut buckets: Vec<HashMap<K, V>> =
-                            (0..p).map(|_| HashMap::new()).collect();
-                        for rec in chunk_inputs {
-                            for (k, v) in mapper(rec) {
-                                let b = partition_of(&k, p);
-                                match buckets[b].entry(k) {
-                                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                                        combine(e.get_mut(), v);
-                                    }
-                                    std::collections::hash_map::Entry::Vacant(e) => {
-                                        e.insert(v);
-                                    }
-                                }
-                            }
-                        }
-                        (ci, buckets)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("map worker panicked"))
-                .collect()
-        });
-        collected.sort_by_key(|(ci, _)| *ci);
-        // Transpose into partitions, preserving worker order per key.
-        let mut partitions: Vec<HashMap<K, Vec<V>>> = (0..p).map(|_| HashMap::new()).collect();
-        for (_, worker_buckets) in collected {
-            for (pi, bucket) in worker_buckets.into_iter().enumerate() {
-                let part = &mut partitions[pi];
-                for (k, v) in bucket {
-                    part.entry(k).or_default().push(v);
-                }
-            }
-        }
-        // Reduce each partition in parallel (as in `run`).
-        let results: Vec<Vec<(K, O)>> = thread::scope(|s| {
-            let handles: Vec<_> = partitions
-                .into_iter()
-                .map(|part| {
-                    let reducer = &reducer;
-                    s.spawn(move || {
-                        let mut out: Vec<(K, O)> = part
-                            .into_iter()
-                            .map(|(k, vs)| {
-                                let o = reducer(&k, vs);
-                                (k, o)
-                            })
-                            .collect();
-                        out.sort_by(|a, b| a.0.cmp(&b.0));
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("reduce worker panicked"))
-                .collect()
-        });
-        let mut flat: Vec<(K, O)> = results.into_iter().flatten().collect();
-        flat.sort_by(|a, b| a.0.cmp(&b.0));
-        flat
-    }
-
-    /// Map-only phase with shuffle: returns one partition per worker,
-    /// each a map from key to the values emitted for it. Within one
-    /// key, values preserve (input-order, emission-order).
-    fn map_and_shuffle<I, K, V, M>(&self, inputs: &[I], mapper: &M) -> Vec<HashMap<K, Vec<V>>>
-    where
-        I: Sync,
-        K: Send + Hash + Eq + Clone,
-        V: Send,
-        M: Fn(&I) -> Vec<(K, V)> + Sync,
-    {
-        // One bucket per (mapper worker, destination partition).
-        type Buckets<K, V> = Vec<Vec<(K, V)>>;
-        let p = self.workers;
-        // Each mapper worker produces p outgoing buckets.
-        let chunk = inputs.len().div_ceil(p).max(1);
-        let mut collected: Vec<(usize, Buckets<K, V>)> = thread::scope(|s| {
-            let handles: Vec<_> = inputs
-                .chunks(chunk)
-                .enumerate()
-                .map(|(ci, chunk_inputs)| {
-                    s.spawn(move || {
-                        let mut buckets: Vec<Vec<(K, V)>> = (0..p).map(|_| Vec::new()).collect();
-                        for rec in chunk_inputs {
-                            for (k, v) in mapper(rec) {
-                                let b = partition_of(&k, p);
-                                buckets[b].push((k, v));
-                            }
-                        }
-                        (ci, buckets)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("map worker panicked"))
-                .collect()
-        });
-        // Preserve input chunk order for deterministic value order.
-        collected.sort_by_key(|(ci, _)| *ci);
-        let all_buckets: Vec<Buckets<K, V>> = collected.into_iter().map(|(_, b)| b).collect();
-        // Transpose: partition i receives bucket i from each mapper.
-        let mut partitions: Vec<HashMap<K, Vec<V>>> = (0..p).map(|_| HashMap::new()).collect();
-        for mapper_buckets in all_buckets {
-            for (pi, bucket) in mapper_buckets.into_iter().enumerate() {
-                let part = &mut partitions[pi];
-                for (k, v) in bucket {
-                    part.entry(k).or_default().push(v);
-                }
-            }
-        }
-        partitions
     }
 
     /// Parallel map over inputs, preserving input order.
@@ -316,10 +110,9 @@ impl MapReduce {
 }
 
 /// Stable partitioning function (FNV-1a over the key's hash) so runs
-/// are reproducible across processes. Public because sharded artifact
-/// builds (value-space interning, blocking posting lists) partition by
-/// the same function the shuffle uses, keeping the whole pipeline on
-/// one deterministic hash.
+/// are reproducible across processes: the sharded artifact builds
+/// (value-space interning, blocking posting lists) all partition by
+/// it, keeping the whole pipeline on one deterministic hash.
 pub fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
     let mut hasher = FnvHasher::default();
     key.hash(&mut hasher);
@@ -327,7 +120,7 @@ pub fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
 }
 
 /// Minimal FNV-1a hasher: deterministic across runs (unlike the std
-/// `RandomState`), which keeps shuffle partitioning stable.
+/// `RandomState`), which keeps shard assignment stable.
 struct FnvHasher(u64);
 
 impl Default for FnvHasher {
@@ -411,119 +204,6 @@ mod tests {
     use std::hash::BuildHasher;
 
     #[test]
-    fn word_count() {
-        let docs = vec![
-            "the quick brown fox".to_string(),
-            "the lazy dog".to_string(),
-            "the quick dog".to_string(),
-        ];
-        let mr = MapReduce::new(3);
-        let counts = mr.run(
-            &docs,
-            |doc: &String| {
-                doc.split_whitespace()
-                    .map(|w| (w.to_string(), 1u32))
-                    .collect()
-            },
-            |_k, vs| vs.iter().sum::<u32>(),
-        );
-        let map: std::collections::HashMap<_, _> = counts.into_iter().collect();
-        assert_eq!(map["the"], 3);
-        assert_eq!(map["quick"], 2);
-        assert_eq!(map["dog"], 2);
-        assert_eq!(map["fox"], 1);
-    }
-
-    #[test]
-    fn deterministic_output_order() {
-        let inputs: Vec<u32> = (0..500).collect();
-        let mr = MapReduce::new(7);
-        let run = |mr: &MapReduce| {
-            mr.run(
-                &inputs,
-                |&x| vec![(x % 13, x)],
-                |_k, vs| vs.iter().sum::<u32>(),
-            )
-        };
-        let a = run(&mr);
-        let b = run(&mr);
-        assert_eq!(a, b);
-        let keys: Vec<u32> = a.iter().map(|(k, _)| *k).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn single_worker_equals_many_workers() {
-        let inputs: Vec<u32> = (0..200).collect();
-        let job = |mr: MapReduce| {
-            mr.run(
-                &inputs,
-                |&x| vec![(x % 7, x as u64)],
-                |_k, vs| vs.iter().sum::<u64>(),
-            )
-        };
-        assert_eq!(job(MapReduce::new(1)), job(MapReduce::new(8)));
-    }
-
-    #[test]
-    fn empty_input() {
-        let mr = MapReduce::new(4);
-        let out: Vec<(u32, u32)> = mr.run(&Vec::<u32>::new(), |&x| vec![(x, x)], |_k, vs| vs[0]);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn mapper_emitting_multiple_keys() {
-        let mr = MapReduce::new(4);
-        let out = mr.run(
-            &[10u32, 20, 30],
-            |&x| vec![(0u8, x), (1u8, x * 2)],
-            |_k, vs| vs.iter().sum::<u32>(),
-        );
-        assert_eq!(out, vec![(0u8, 60), (1u8, 120)]);
-    }
-
-    #[test]
-    fn combining_matches_plain_run() {
-        let inputs: Vec<u32> = (0..500).collect();
-        for workers in [1, 3, 8] {
-            let mr = MapReduce::new(workers);
-            let plain = mr.run(
-                &inputs,
-                |&x| vec![(x % 13, 1u32), (x % 7, 2u32)],
-                |_k, vs| vs.iter().sum::<u32>(),
-            );
-            let combined = mr.run_combining(
-                &inputs,
-                |&x| vec![(x % 13, 1u32), (x % 7, 2u32)],
-                |acc, v| *acc += v,
-                |_k, vs| vs.iter().sum::<u32>(),
-            );
-            assert_eq!(plain, combined, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn combining_shrinks_shuffle_to_one_value_per_worker() {
-        // 100 records all emitting the same key: the reducer must see
-        // at most `workers` pre-combined values, not 100.
-        let inputs: Vec<u32> = (0..100).collect();
-        let mr = MapReduce::new(4);
-        let out = mr.run_combining(
-            &inputs,
-            |&x| vec![(0u8, x as u64)],
-            |acc, v| *acc += v,
-            |_k, vs| {
-                assert!(vs.len() <= 4, "combiner must pre-aggregate: {}", vs.len());
-                vs.iter().sum::<u64>()
-            },
-        );
-        assert_eq!(out, vec![(0u8, (0..100u64).sum())]);
-    }
-
-    #[test]
     fn par_map_preserves_order() {
         for workers in [1usize, 2, 3, 8] {
             let mr = MapReduce::new(workers);
@@ -585,15 +265,6 @@ mod tests {
         assert!(ids.iter().all(|&id| id == caller));
         let ids = MapReduce::new(4).par_map(&[0u8; 1], |_| thread::current().id());
         assert_eq!(ids, vec![caller]);
-    }
-
-    #[test]
-    fn value_order_within_key_is_input_order() {
-        let inputs: Vec<u32> = (0..50).collect();
-        let mr = MapReduce::new(4);
-        let out = mr.run(&inputs, |&x| vec![(0u8, x)], |_k, vs| vs);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].1, inputs);
     }
 
     /// `IdHasher` on the keys it serves — dense grids of small interned
