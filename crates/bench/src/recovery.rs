@@ -16,7 +16,8 @@
 //!   cell and damaged in one specific way: the final WAL record torn
 //!   mid-frame, the newest archive truncated at each frame boundary ±
 //!   a partial record, single bits flipped in archive header / body /
-//!   trailer, a crafted future-format-version header, whole
+//!   trailer, a crafted future-format-version header, an archive in
+//!   the previous layout (`MSA1`, refused by its header kind), whole
 //!   generations deleted, a sealed WAL segment rotted. Every cell must
 //!   either recover (falling back to an older generation where the
 //!   newest is damaged) or fail with the exact typed
@@ -659,32 +660,37 @@ pub fn run_recovery_matrix(verify: bool) -> RecoveryMatrixOutcome {
         push(cell, "recovered");
     }
 
-    // Cell: crafted future-format-version header (valid CRC, higher
-    // version) — refused as VersionMismatch, falls back.
-    {
+    // Cells: a crafted header with a valid CRC — a future format
+    // version, or the previous layout's kind `MSA1` — is refused as
+    // VersionMismatch / KindMismatch, and recovery falls back.
+    for (label, at, field, expect) in [
+        (
+            "archive future version",
+            4,
+            (FRAME_VERSION + 1).to_le_bytes(),
+            "version_mismatch",
+        ),
+        (
+            "archive in the previous format",
+            8,
+            *b"MSA1",
+            "kind_mismatch",
+        ),
+    ] {
         let name = newest_archive.file_name().expect("file name").to_owned();
-        let (cell, rec) = run_cell(&full_dir, &scratch, "archive future version", gen0, |d| {
+        let (cell, rec) = run_cell(&full_dir, &scratch, label, gen0, |d| {
             let path = d.join(&name);
             let mut bytes = fs::read(&path).expect("read archive");
-            bytes[4..8].copy_from_slice(&(FRAME_VERSION + 1).to_le_bytes());
+            bytes[at..at + 4].copy_from_slice(&field);
             let crc = crc32(&bytes[..12]);
             bytes[12..16].copy_from_slice(&crc.to_le_bytes());
             fs::write(&path, bytes).expect("re-stamp archive header");
         });
-        let r = rec.expect("future version falls back");
+        let r = rec.unwrap_or_else(|| panic!("{label}: must fall back, not fail"));
+        let first = r.report.archive_errors.first().map(|(_, e)| e);
         assert!(
-            matches!(
-                r.report.archive_errors.first(),
-                Some((
-                    _,
-                    PersistError::Frame {
-                        error: FrameError::VersionMismatch { .. },
-                        ..
-                    }
-                ))
-            ),
-            "future version must be refused as VersionMismatch, got {:?}",
-            r.report.archive_errors.first()
+            matches!(first, Some(PersistError::Frame { error, .. }) if frame_label(error) == expect),
+            "{label}: must be refused as {expect}, got {first:?}"
         );
         push(cell, "recovered");
     }

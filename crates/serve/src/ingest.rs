@@ -432,7 +432,7 @@ impl DeltaIngestor {
 
     /// [`spawn`](Self::spawn) with an optional crash-safety hook: when
     /// `persistence` is `Some`, a **base archive** capturing the
-    /// initial corpus and the currently served snapshot is written
+    /// initial corpus and the currently served version is written
     /// durably before the worker starts (so the WAL always has a
     /// covering generation beneath it), every accepted delta is
     /// appended + fsynced to the WAL before it can reach a publish,
@@ -680,10 +680,10 @@ impl Worker {
             self.service.publish_delta(&run.mappings);
             self.shared.publishes.fetch_add(1, Ordering::Relaxed);
             self.accepted_since_publish = 0;
-            // Roll the archive forward on its cadence: the just-
-            // installed snapshot plus the live corpus, covering every
-            // WAL record so far — older generations and fully covered
-            // WAL segments are then prunable.
+            // Roll the archive forward on its cadence: the live corpus
+            // and the just-installed version, covering every WAL record
+            // so far — older generations and fully covered WAL
+            // segments are then prunable.
             if let Some(p) = &mut self.persist {
                 if p.archive_due() {
                     let tables = crate::persist::portable_tables(&self.corpus, &self.key_of_table);

@@ -1,17 +1,18 @@
-//! Crash-safe persistence: checksummed snapshot archives + a delta
-//! WAL, with typed recovery.
+//! Crash-safe persistence: checksummed corpus archives + a delta WAL,
+//! with typed recovery.
 //!
 //! Everything the serving layer holds dies with the process; this
 //! module is the durability story beneath it (ROADMAP's cross-process
 //! serving milestone). The design is the classic base-plus-log pair,
 //! in the spirit of answering queries under an update stream:
 //!
-//! * a **snapshot archive** ([`Persistence::write_archive`]) captures
-//!   a consistent cut — the served [`IndexSnapshot`], the live corpus
-//!   in portable form, and the sequence number of the last accepted
-//!   delta it covers — written to a temp file, fsynced, then
-//!   atomically renamed into place (and the directory fsynced), so an
-//!   archive is either entirely present or entirely absent;
+//! * an **archive** ([`Persistence::write_archive`]) captures a
+//!   consistent cut — the live corpus in portable form, the sequence
+//!   number of the last accepted delta it covers and the version then
+//!   served — written to a temp file, fsynced, then atomically renamed
+//!   into place (and the directory fsynced), so an archive is either
+//!   entirely present or entirely absent. It stores the pipeline's
+//!   input, never its output: the served index is derived state;
 //! * a **delta WAL** appends every accepted delta as a
 //!   [`PortableDelta`] record (append + fsync *per record*, before
 //!   the delta can reach a publish), rotating to a new sealed segment
@@ -20,34 +21,34 @@
 //!   older generations when the newest is corrupt — rebuilds the
 //!   session by re-preparing on the archived corpus, replays the WAL
 //!   tail through the **same** apply path the live ingestor uses
-//!   ([`crate::ingest`]'s shared apply), and truncates a torn final
-//!   record instead of failing. Every other corruption is a typed
+//!   ([`crate::ingest`]'s shared apply), truncates a torn final record
+//!   instead of failing, and derives the served snapshot from the
+//!   replayed session. Every other corruption is a typed
 //!   [`PersistError`] — never a panic, never silently wrong data.
 //!
 //! File formats ride on `mapsynth_corpus`'s checksummed framing
 //! ([`FrameWriter`]/[`FrameReader`]): a versioned magic header binds
 //! each file to a `kind`, every frame carries a CRC32, sealed files
-//! end in a counted trailer. Archives are always sealed; the active
-//! WAL segment is deliberately *never* sealed (not even on graceful
-//! shutdown), so the disk state after a clean stop is byte-identical
-//! to the state after a kill at the same point — the property the
-//! recovery oracle leans on. A consequence: each recover→resume cycle
-//! leaves the pre-crash segment behind unsealed while the resumed WAL
-//! opens a fresh one, so a directory may legitimately hold *several*
-//! unsealed segments. Replay accepts an unsealed non-final segment
-//! whenever the next segment starts at or before the sequence replay
-//! expects next (contiguity — no record can be missing between them);
-//! only a provable hole halts it.
+//! end in a counted trailer. Archives are always sealed, two frames
+//! `[meta][portable tables]`; the active WAL segment is deliberately
+//! *never* sealed (not even on graceful shutdown), so the disk state
+//! after a clean stop is byte-identical to the state after a kill at
+//! the same point — the property the recovery oracle leans on. A
+//! consequence: each recover→resume cycle leaves the pre-crash segment
+//! behind unsealed while the resumed WAL opens a fresh one, so a
+//! directory may legitimately hold *several* unsealed segments. Replay
+//! accepts an unsealed non-final segment whenever the next segment
+//! starts at or before the sequence replay expects next (contiguity —
+//! no record can be missing between them); only a provable hole halts
+//! it.
 
 use crate::ingest::{apply_request_to, compact_with_keys, DeltaRequest, IngestError};
 use crate::service::MappingService;
-use crate::snapshot::IndexSnapshot;
+use crate::snapshot::{IndexSnapshot, SnapshotBuilder};
 use mapsynth::delta::{PortableDelta, PortableTable};
 use mapsynth::pipeline::{PipelineConfig, Resolver, SynthesisSession};
 use mapsynth_corpus::wire::{self, WireError, WireReader};
-use mapsynth_corpus::{
-    read_sealed, Corpus, FrameError, FrameReader, FrameTail, FrameWriter, TableId,
-};
+use mapsynth_corpus::{Corpus, FrameError, FrameReader, FrameTail, FrameWriter, TableId};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -56,8 +57,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Frame-file kind tag of snapshot archives (`"MSA1"`).
-const ARCHIVE_KIND: u32 = u32::from_le_bytes(*b"MSA1");
+/// Frame-file kind tag of archives (`"MSA2"`: meta + portable tables).
+/// A file of any other kind is refused with `KindMismatch`.
+const ARCHIVE_KIND: u32 = u32::from_le_bytes(*b"MSA2");
 /// Frame-file kind tag of WAL segments (`"MSW1"`).
 const WAL_KIND: u32 = u32::from_le_bytes(*b"MSW1");
 /// Byte length of a framed file's header: a segment at exactly this
@@ -223,39 +225,64 @@ fn scan(dir: &Path, prefix: &str, suffix: &str) -> io::Result<Vec<(u64, PathBuf)
     Ok(out)
 }
 
-/// One loaded archive generation.
-struct LoadedArchive {
+/// An archive's meta frame.
+struct ArchiveMeta {
     generation: u64,
     /// Last accepted-delta sequence the archive captures; WAL records
     /// with `seq <= covered_seq` are redundant against it.
     covered_seq: u64,
-    snapshot: IndexSnapshot,
+    /// Version the service served when the archive was written.
+    version: u64,
+}
+
+/// One loaded archive generation: its meta plus the live corpus.
+struct LoadedArchive {
+    meta: ArchiveMeta,
     tables: Vec<PortableTable>,
 }
 
-/// Archive file body: exactly three sealed frames.
-const ARCHIVE_FRAMES: usize = 3;
-
-fn load_archive(path: &Path) -> Result<LoadedArchive, PersistError> {
-    let frames = read_sealed(path, ARCHIVE_KIND).map_err(|e| frame_err(path, e))?;
-    if frames.len() != ARCHIVE_FRAMES {
-        return Err(PersistError::Layout {
-            file: file_name(path),
-            what: "archive must hold exactly 3 frames (meta, corpus, snapshot)",
-        });
-    }
-    // Frame 0: meta.
-    let mut r = WireReader::new(&frames[0]);
-    let meta = (|| -> Result<(u64, u64), WireError> {
-        let generation = r.u64()?;
-        let covered_seq = r.u64()?;
-        let _snapshot_version = r.u64()?;
+/// Open an archive and read its header and meta frame only — all that
+/// retention needs, without decoding the corpus. The reader is left at
+/// the corpus frame.
+fn read_meta(path: &Path) -> Result<(ArchiveMeta, FrameReader), PersistError> {
+    let mut reader = FrameReader::open(path, ARCHIVE_KIND).map_err(|e| frame_err(path, e))?;
+    let frame = reader
+        .next_frame()
+        .map_err(|e| frame_err(path, e))?
+        .ok_or_else(|| frame_err(path, FrameError::MissingTrailer { frames: 0 }))?;
+    let mut r = WireReader::new(&frame);
+    let meta = (|| -> Result<ArchiveMeta, WireError> {
+        let meta = ArchiveMeta {
+            generation: r.u64()?,
+            covered_seq: r.u64()?,
+            version: r.u64()?,
+        };
         r.finish()?;
-        Ok((generation, covered_seq))
+        Ok(meta)
     })()
     .map_err(|e| decode_err(path, e))?;
-    // Frame 1: portable live tables.
-    let mut r = WireReader::new(&frames[1]);
+    Ok((meta, reader))
+}
+
+/// Load a whole archive: exactly two sealed frames, meta then the
+/// portable live tables.
+fn load_archive(path: &Path) -> Result<LoadedArchive, PersistError> {
+    let (meta, mut reader) = read_meta(path)?;
+    let mut rest = Vec::new();
+    while let Some(f) = reader.next_frame().map_err(|e| frame_err(path, e))? {
+        rest.push(f);
+    }
+    if reader.tail() != Some(FrameTail::Sealed) {
+        let frames = reader.frames_read();
+        return Err(frame_err(path, FrameError::MissingTrailer { frames }));
+    }
+    let [corpus_frame] = rest.as_slice() else {
+        return Err(PersistError::Layout {
+            file: file_name(path),
+            what: "archive must hold exactly 2 frames (meta, corpus)",
+        });
+    };
+    let mut r = WireReader::new(corpus_frame);
     let tables = (|| -> Result<Vec<PortableTable>, WireError> {
         let n = r.u32()? as usize;
         let mut tables = Vec::with_capacity(n.min(1 << 16));
@@ -266,14 +293,7 @@ fn load_archive(path: &Path) -> Result<LoadedArchive, PersistError> {
         Ok(tables)
     })()
     .map_err(|e| decode_err(path, e))?;
-    // Frame 2: the served snapshot.
-    let snapshot = IndexSnapshot::persist_decode(&frames[2]).map_err(|e| decode_err(path, e))?;
-    Ok(LoadedArchive {
-        generation: meta.0,
-        covered_seq: meta.1,
-        snapshot,
-        tables,
-    })
+    Ok(LoadedArchive { meta, tables })
 }
 
 /// The live tables of `corpus` in portable (content + stable key)
@@ -545,10 +565,11 @@ impl Persistence {
         self.publishes_since_archive >= self.cfg.archive_every_publishes.max(1)
     }
 
-    /// Write the next archive generation: temp file → three sealed
-    /// frames (meta, portable corpus, snapshot) → fsync → atomic
-    /// rename → directory fsync. On success, generations beyond
-    /// `keep_generations` and WAL segments fully covered by the
+    /// Write the next archive generation: temp file → two sealed
+    /// frames (meta, portable corpus) → fsync → atomic rename →
+    /// directory fsync. `snapshot` contributes only its version: the
+    /// index itself is re-derived at recovery. On success, generations
+    /// beyond `keep_generations` and WAL segments fully covered by the
     /// *oldest retained* generation are pruned — so even if the
     /// newest archive later rots, the older generation still has
     /// every WAL record it needs.
@@ -571,13 +592,11 @@ impl Persistence {
         for t in tables {
             t.encode_into(&mut corpus_frame);
         }
-        let snapshot_frame = snapshot.persist_encode();
 
         let write = (|| {
             let mut w = FrameWriter::create(&tmp_path, ARCHIVE_KIND)?;
             w.write_frame(&meta)?;
             w.write_frame(&corpus_frame)?;
-            w.write_frame(&snapshot_frame)?;
             w.finish()
         })();
         if let Err(e) = write {
@@ -601,10 +620,9 @@ impl Persistence {
             }
             sync_dir(&self.cfg.dir)?;
         }
+        // An unreadable meta frame prunes nothing.
         let oldest_kept = &gens[gens.len().saturating_sub(keep)];
-        let oldest_covered = load_archive(&oldest_kept.1)
-            .map(|a| a.covered_seq)
-            .unwrap_or(0);
+        let oldest_covered = read_meta(&oldest_kept.1).map_or(0, |(m, _)| m.covered_seq);
         self.wal.prune_covered(oldest_covered)?;
         Ok(generation)
     }
@@ -637,8 +655,7 @@ pub enum WalTail {
 pub struct ReplayReport {
     /// Generation of the archive recovery loaded.
     pub generation: u64,
-    /// Version the archived snapshot carried (served immediately on
-    /// restore, before replay).
+    /// Version the service served when the loaded archive was written.
     pub archive_version: u64,
     /// Archive generations tried before one loaded (1 = newest was
     /// valid).
@@ -663,8 +680,9 @@ pub struct ReplayReport {
     /// rot). State is consistent up to the halt; records past it are
     /// lost and the caller decides whether that is acceptable.
     pub wal_halted: Option<Box<PersistError>>,
-    /// Version served after recovery (== `archive_version` when no
-    /// records replayed).
+    /// Version served after recovery: what the uncrashed service would
+    /// serve — `archive_version` when no records replayed, one past it
+    /// otherwise (and 1 for a base archive of an unpublished service).
     pub served_version: u64,
     /// Sequence number the next accepted delta should carry — what
     /// [`Persistence::create`] takes as `base_seq + 1`.
@@ -690,8 +708,8 @@ pub struct Recovered {
 
 /// Recover a serving state from `dir`: newest valid archive (with
 /// generation fallback), then WAL tail replay through the shared
-/// apply path, then one publish of the post-replay synthesis so the
-/// served snapshot reflects the head state. See the module docs for
+/// apply path, then one synthesis of the replayed session, indexed and
+/// installed as the served snapshot. See the module docs for
 /// the failure policy; the one *repair* performed is physically
 /// truncating a torn final WAL record.
 pub fn recover(
@@ -726,7 +744,7 @@ pub fn recover(
     let archives_tried = archive_errors.len() + 1;
 
     // Phase 2: rebuild corpus + session from the archived portable
-    // tables, and serve the archived snapshot immediately.
+    // tables.
     let mut corpus = Corpus::new();
     let mut key_of_table: HashMap<u64, TableId> = HashMap::new();
     for t in &archive.tables {
@@ -746,13 +764,9 @@ pub fn recover(
     }
     let mut session = SynthesisSession::new(config);
     session.prepare(&corpus);
-    let synthesis = session.config().synthesis;
-    let service = Arc::new(MappingService::new());
-    let archive_version = archive.snapshot.version();
-    service.restore(archive.snapshot);
 
     // Phase 3: replay the WAL tail.
-    let covered = archive.covered_seq;
+    let covered = archive.meta.covered_seq;
     let mut expected = covered + 1;
     let segs = segments(dir)?;
     let mut wal_skipped = 0u64;
@@ -877,19 +891,24 @@ pub fn recover(
         }
     }
 
-    // Phase 4: publish the post-replay synthesis so readers see the
-    // head state. Replaying zero records against a real archive keeps
-    // the archived snapshot as served (it *is* the head state, version
-    // untouched); a base archive written before the first publish
-    // (version 0) never reflects the corpus, so that case publishes
-    // too — matching the tail publish an uncrashed shutdown performs.
-    if wal_replayed > 0 || archive_version == 0 {
-        let run = session.synthesize(&synthesis, resolver);
-        service.publish_delta(&run.mappings);
-    }
+    // Phase 4: derive the served snapshot from the replayed session,
+    // stamped with the version the uncrashed service serves: the
+    // archive's when nothing replayed, the next one after a replay (the
+    // tail publish) or over a base archive of a never-published service.
+    let archive_version = archive.meta.version;
+    let synthesis = session.config().synthesis;
+    let run = session.synthesize(&synthesis, resolver);
+    let mut snapshot = SnapshotBuilder::from_synthesized(&run.mappings).build();
+    snapshot.version = if wal_replayed > 0 || archive_version == 0 {
+        archive_version + 1
+    } else {
+        archive_version
+    };
+    let service = Arc::new(MappingService::new());
+    service.restore(snapshot);
 
     let report = ReplayReport {
-        generation: archive.generation,
+        generation: archive.meta.generation,
         archive_version,
         archives_tried,
         archive_errors,

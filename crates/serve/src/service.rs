@@ -219,12 +219,13 @@ impl MappingService {
         (version, stats)
     }
 
-    /// Install a snapshot **recovered from disk**, keeping its
-    /// archived version id instead of stamping a fresh one. The
-    /// version counter is advanced past it (monotonically — a
-    /// concurrent publish can only push it further), so every later
-    /// publish gets a strictly larger id than anything the archive
-    /// ever served. Returns the installed version.
+    /// Install a snapshot **rebuilt by recovery**, keeping the version
+    /// id it carries (the one the crashed service served) instead of
+    /// stamping a fresh one. The version counter is advanced past it
+    /// (monotonically — a concurrent publish can only push it
+    /// further), so every later publish gets a strictly larger id than
+    /// anything the crashed service ever served. Returns the installed
+    /// version.
     pub fn restore(&self, snapshot: IndexSnapshot) -> u64 {
         let mut history = mutex_lock(&self.history);
         let version = snapshot.version;

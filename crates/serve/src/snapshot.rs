@@ -57,6 +57,23 @@ struct Shard {
     misses: AtomicU64,
 }
 
+impl Shard {
+    /// Freeze an entry map: a Bloom filter sized to its load, zeroed
+    /// counters.
+    fn new(entries: HashMap<String, Entry>) -> Self {
+        let mut bloom = BloomFilter::new(entries.len().max(1), 0.01);
+        for v in entries.keys() {
+            bloom.insert(v);
+        }
+        Shard {
+            bloom,
+            entries,
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+}
+
 /// A successful lookup: a borrowed view of one value's entry.
 #[derive(Clone, Copy)]
 pub struct ValueHit<'a> {
@@ -208,7 +225,7 @@ impl IndexSnapshot {
     }
 
     fn shard_of(&self, norm: &str) -> usize {
-        (fnv1a(norm) as usize) & self.shard_mask
+        shard_index(norm, self.shard_mask)
     }
 
     /// Look up an already-normalized value. Records a hit or miss on
@@ -456,23 +473,16 @@ impl IndexSnapshot {
         for &mi in &removed {
             touched.extend(self.shards_of_mapping[mi as usize].iter().copied());
         }
-        let mut added_shards: Vec<Vec<u16>> = Vec::with_capacity(added.len());
         for m in added {
             let mut of: Vec<u16> = m
                 .pair_strs()
-                .flat_map(|(l, r)| {
-                    [
-                        ((fnv1a(l) as usize) & self.shard_mask) as u16,
-                        ((fnv1a(r) as usize) & self.shard_mask) as u16,
-                    ]
-                })
+                .flat_map(|(l, r)| [self.shard_of(l) as u16, self.shard_of(r) as u16])
                 .collect();
             of.sort_unstable();
             of.dedup();
             touched.extend(of.iter().copied());
-            added_shards.push(of);
+            shards_of_mapping.push(of);
         }
-        shards_of_mapping.extend(added_shards);
 
         // Rebuild touched shards; share the rest.
         let mut values = self.values;
@@ -494,21 +504,13 @@ impl IndexSnapshot {
                     });
                 }
                 for (m, &mi) in added.iter().zip(&added_ids) {
-                    insert_mapping_pairs(&mut entries, mi, m.pair_strs(), |s| {
-                        ((fnv1a(s) as usize) & self.shard_mask) == si
+                    let own = std::slice::from_mut(&mut entries);
+                    insert_mapping_pairs(own, mi, m.pair_strs(), |s| {
+                        (self.shard_of(s) == si).then_some(0)
                     });
                 }
                 values = values - shard.entries.len() + entries.len();
-                let mut bloom = BloomFilter::new(entries.len().max(1), 0.01);
-                for v in entries.keys() {
-                    bloom.insert(v);
-                }
-                Arc::new(Shard {
-                    bloom,
-                    entries,
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                })
+                Arc::new(Shard::new(entries))
             })
             .collect();
 
@@ -525,205 +527,30 @@ impl IndexSnapshot {
     }
 }
 
-impl IndexSnapshot {
-    /// Serialize the snapshot for the archive's snapshot frame.
-    /// Deterministic: per shard, entries are emitted in sorted key
-    /// order, so equal snapshots encode to equal bytes regardless of
-    /// hash-map iteration order. Hit/miss counters are serving-side
-    /// ephemera and are not persisted.
-    pub(crate) fn persist_encode(&self) -> Vec<u8> {
-        use mapsynth_corpus::wire::{put_opt_str, put_str, put_u32, put_u64, put_u8};
-        let mut buf = Vec::new();
-        put_u64(&mut buf, self.version);
-        put_u32(&mut buf, self.shards.len() as u32);
-        put_u32(&mut buf, self.metas.len() as u32);
-        for (i, meta) in self.metas.iter().enumerate() {
-            put_opt_str(&mut buf, meta.name.as_deref());
-            put_u64(&mut buf, meta.pairs as u64);
-            put_u64(&mut buf, meta.domains as u64);
-            put_u64(&mut buf, meta.source_tables as u64);
-            put_u8(&mut buf, u8::from(self.live[i]));
-            put_u64(&mut buf, self.hashes[i]);
-            put_u32(&mut buf, self.shards_of_mapping[i].len() as u32);
-            for &s in &self.shards_of_mapping[i] {
-                put_u32(&mut buf, u32::from(s));
-            }
-        }
-        for shard in &self.shards {
-            let mut keys: Vec<&String> = shard.entries.keys().collect();
-            keys.sort_unstable();
-            put_u32(&mut buf, keys.len() as u32);
-            for key in keys {
-                let entry = &shard.entries[key];
-                put_str(&mut buf, key);
-                put_u32(&mut buf, entry.postings.len() as u32);
-                for &mi in &entry.postings {
-                    put_u32(&mut buf, mi);
-                }
-                put_u32(&mut buf, entry.forward.len() as u32);
-                for (mi, r) in &entry.forward {
-                    put_u32(&mut buf, *mi);
-                    put_str(&mut buf, r);
-                }
-                put_u32(&mut buf, entry.reverse.len() as u32);
-                for (mi, ls) in &entry.reverse {
-                    put_u32(&mut buf, *mi);
-                    put_u32(&mut buf, ls.len() as u32);
-                    for l in ls {
-                        put_str(&mut buf, l);
-                    }
-                }
-            }
-        }
-        buf
-    }
-
-    /// Rebuild a snapshot from [`persist_encode`](Self::persist_encode)
-    /// bytes. Bloom filters are reconstructed from the entry keys
-    /// (their build is deterministic), hit/miss counters start at
-    /// zero. Structural invariants (power-of-two shard count, aligned
-    /// per-mapping vectors) are validated with typed errors.
-    pub(crate) fn persist_decode(
-        bytes: &[u8],
-    ) -> Result<IndexSnapshot, mapsynth_corpus::wire::WireError> {
-        use mapsynth_corpus::wire::{WireError, WireReader};
-        let mut r = WireReader::new(bytes);
-        let version = r.u64()?;
-        let shard_count = r.u32()? as usize;
-        if shard_count == 0 || !shard_count.is_power_of_two() {
-            return Err(WireError::Invalid {
-                what: "shard count must be a nonzero power of two",
-            });
-        }
-        let slots = r.u32()? as usize;
-        let mut metas = Vec::with_capacity(slots.min(1 << 16));
-        let mut live = Vec::with_capacity(slots.min(1 << 16));
-        let mut hashes = Vec::with_capacity(slots.min(1 << 16));
-        let mut shards_of_mapping = Vec::with_capacity(slots.min(1 << 16));
-        for _ in 0..slots {
-            let name = r.opt_str()?;
-            let pairs = r.u64()? as usize;
-            let domains = r.u64()? as usize;
-            let source_tables = r.u64()? as usize;
-            let is_live = match r.u8()? {
-                0 => false,
-                1 => true,
-                found => {
-                    return Err(WireError::BadTag {
-                        at: r.position() - 1,
-                        found,
-                    })
-                }
-            };
-            let hash = r.u64()?;
-            let n_shards = r.u32()? as usize;
-            let mut of = Vec::with_capacity(n_shards.min(1 << 16));
-            for _ in 0..n_shards {
-                let s = r.u32()?;
-                if s as usize >= shard_count {
-                    return Err(WireError::Invalid {
-                        what: "mapping touch set names a shard out of range",
-                    });
-                }
-                of.push(s as u16);
-            }
-            metas.push(MappingMeta {
-                name,
-                pairs,
-                domains,
-                source_tables,
-            });
-            live.push(is_live);
-            hashes.push(hash);
-            shards_of_mapping.push(of);
-        }
-        let mut values = 0usize;
-        let mut shards = Vec::with_capacity(shard_count);
-        for _ in 0..shard_count {
-            let n_entries = r.u32()? as usize;
-            let mut entries: HashMap<String, Entry> =
-                HashMap::with_capacity(n_entries.min(1 << 20));
-            for _ in 0..n_entries {
-                let key = r.str()?;
-                let n_post = r.u32()? as usize;
-                let mut postings = Vec::with_capacity(n_post.min(1 << 16));
-                for _ in 0..n_post {
-                    postings.push(r.u32()?);
-                }
-                let n_fwd = r.u32()? as usize;
-                let mut forward = Vec::with_capacity(n_fwd.min(1 << 16));
-                for _ in 0..n_fwd {
-                    let mi = r.u32()?;
-                    forward.push((mi, r.str()?));
-                }
-                let n_rev = r.u32()? as usize;
-                let mut reverse = Vec::with_capacity(n_rev.min(1 << 16));
-                for _ in 0..n_rev {
-                    let mi = r.u32()?;
-                    let n_ls = r.u32()? as usize;
-                    let mut ls = Vec::with_capacity(n_ls.min(1 << 16));
-                    for _ in 0..n_ls {
-                        ls.push(r.str()?);
-                    }
-                    reverse.push((mi, ls));
-                }
-                entries.insert(
-                    key,
-                    Entry {
-                        postings,
-                        forward,
-                        reverse,
-                    },
-                );
-            }
-            values += entries.len();
-            let mut bloom = BloomFilter::new(entries.len().max(1), 0.01);
-            for v in entries.keys() {
-                bloom.insert(v);
-            }
-            shards.push(Arc::new(Shard {
-                bloom,
-                entries,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-            }));
-        }
-        r.finish()?;
-        Ok(IndexSnapshot {
-            version,
-            shards,
-            shard_mask: shard_count - 1,
-            metas,
-            live,
-            hashes,
-            shards_of_mapping,
-            values,
-        })
-    }
-}
-
-/// Insert one mapping's (already-normalized) pairs into an entry map,
-/// restricted to the values `owns` accepts. The insertion order per
-/// mapping matches [`SnapshotBuilder::build`], so a delta-built shard
-/// is structurally identical to a fresh full build over the same
+/// Insert one mapping's (already-normalized) pairs into per-shard
+/// entry maps: `route` names the map a value belongs in, or `None` to
+/// skip it. The one insertion path — [`SnapshotBuilder::build`] routes
+/// every value to its shard, [`IndexSnapshot::apply_delta`] only the
+/// values of the shard it rebuilds — so a delta-built shard is
+/// structurally identical to a fresh full build over the same
 /// mappings.
 fn insert_mapping_pairs<'a>(
-    entries: &mut HashMap<String, Entry>,
+    shards: &mut [HashMap<String, Entry>],
     mi: u32,
     pairs: impl Iterator<Item = (&'a str, &'a str)>,
-    owns: impl Fn(&str) -> bool,
+    mut route: impl FnMut(&str) -> Option<usize>,
 ) {
     for (l, r) in pairs {
-        if owns(l) {
-            let le = entries.entry(l.to_string()).or_default();
+        if let Some(si) = route(l) {
+            let le = shards[si].entry(l.to_string()).or_default();
             push_posting(&mut le.postings, mi);
             if le.forward.last().map(|(m, _)| *m) != Some(mi) {
                 // first winner per (mapping, left)
                 le.forward.push((mi, r.to_string()));
             }
         }
-        if owns(r) {
-            let re = entries.entry(r.to_string()).or_default();
+        if let Some(si) = route(r) {
+            let re = shards[si].entry(r.to_string()).or_default();
             push_posting(&mut re.postings, mi);
             match re.reverse.last_mut() {
                 Some((m, ls)) if *m == mi => ls.push(l.to_string()),
@@ -856,56 +683,31 @@ impl SnapshotBuilder {
     pub fn build(self) -> IndexSnapshot {
         let shard_count = self.shard_count;
         let shard_mask = shard_count - 1;
-        // Pass 1: per-shard entry maps.
+        // Pass 1: per-shard entry maps, and each mapping's touch set.
         let mut entries: Vec<HashMap<String, Entry>> =
             (0..shard_count).map(|_| HashMap::new()).collect();
         let mut metas = Vec::with_capacity(self.mappings.len());
         let mut hashes = Vec::with_capacity(self.mappings.len());
         let mut shards_of_mapping = Vec::with_capacity(self.mappings.len());
         for (mi, (meta, pairs)) in self.mappings.into_iter().enumerate() {
-            let mi = mi as u32;
             let mut of: Vec<u16> = Vec::new();
-            for (l, r) in &pairs {
-                let ls = (fnv1a(l) as usize) & shard_mask;
-                let le = entries[ls].entry(l.clone()).or_default();
-                push_posting(&mut le.postings, mi);
-                if le.forward.last().map(|(m, _)| *m) != Some(mi) {
-                    // first winner per (mapping, left)
-                    le.forward.push((mi, r.clone()));
-                }
-                let rs = (fnv1a(r) as usize) & shard_mask;
-                let re = entries[rs].entry(r.clone()).or_default();
-                push_posting(&mut re.postings, mi);
-                match re.reverse.last_mut() {
-                    Some((m, ls)) if *m == mi => ls.push(l.clone()),
-                    _ => re.reverse.push((mi, vec![l.clone()])),
-                }
-                of.push(ls as u16);
-                of.push(rs as u16);
-            }
+            let pair_strs = pairs.iter().map(|(l, r)| (l.as_str(), r.as_str()));
+            insert_mapping_pairs(&mut entries, mi as u32, pair_strs, |s| {
+                let si = shard_index(s, shard_mask);
+                of.push(si as u16);
+                Some(si)
+            });
             of.sort_unstable();
             of.dedup();
             shards_of_mapping.push(of);
             hashes.push(pairs_content_hash(&pairs, &meta));
             metas.push(meta);
         }
-        // Pass 2: freeze shards, sizing each Bloom filter to its load.
-        let mut values = 0;
+        // Pass 2: freeze shards.
+        let values = entries.iter().map(HashMap::len).sum();
         let shards: Vec<Arc<Shard>> = entries
             .into_iter()
-            .map(|entries| {
-                values += entries.len();
-                let mut bloom = BloomFilter::new(entries.len().max(1), 0.01);
-                for v in entries.keys() {
-                    bloom.insert(v);
-                }
-                Arc::new(Shard {
-                    bloom,
-                    entries,
-                    hits: AtomicU64::new(0),
-                    misses: AtomicU64::new(0),
-                })
-            })
+            .map(|entries| Arc::new(Shard::new(entries)))
             .collect();
         let live = vec![true; metas.len()];
         IndexSnapshot {
@@ -939,6 +741,11 @@ fn push_posting(postings: &mut Vec<u32>, mi: u32) {
     if postings.last() != Some(&mi) {
         postings.push(mi);
     }
+}
+
+/// The shard a normalized value routes to.
+fn shard_index(s: &str, shard_mask: usize) -> usize {
+    (fnv1a(s) as usize) & shard_mask
 }
 
 /// FNV-1a — the shard router. Deterministic across processes (unlike
@@ -1077,52 +884,5 @@ mod tests {
         assert!(s.is_empty());
         assert!(s.lookup("anything").is_none());
         assert_eq!(s.version(), 0);
-    }
-
-    #[test]
-    fn persist_round_trip_is_lookup_identical_and_deterministic() {
-        let s = snapshot();
-        let bytes = s.persist_encode();
-        assert_eq!(bytes, s.persist_encode(), "encoding must be deterministic");
-        let d = IndexSnapshot::persist_decode(&bytes).expect("decodes");
-        assert_eq!(d.version(), s.version());
-        assert_eq!(d.shard_count(), s.shard_count());
-        assert_eq!(d.value_count(), s.value_count());
-        assert_eq!(d.mapping_count(), s.mapping_count());
-        for probe in ["California", "CA", "United States", "USA", "nonsense"] {
-            match (s.lookup(probe), d.lookup(probe)) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.mappings(), b.mappings(), "postings for {probe}");
-                    for &mi in a.mappings() {
-                        assert_eq!(a.forward(mi), b.forward(mi));
-                        assert_eq!(a.reverse(mi), b.reverse(mi));
-                    }
-                }
-                _ => panic!("presence of {probe} diverged"),
-            }
-        }
-        // Content hashes (the publish_delta identity) survive.
-        let live_a: Vec<_> = s.live_hashes().collect();
-        let live_b: Vec<_> = d.live_hashes().collect();
-        assert_eq!(live_a, live_b);
-        // Re-encoding the decoded snapshot is byte-identical.
-        assert_eq!(d.persist_encode(), bytes);
-    }
-
-    #[test]
-    fn persist_decode_is_total_on_prefixes() {
-        let bytes = snapshot().persist_encode();
-        for cut in 0..bytes.len() {
-            assert!(
-                IndexSnapshot::persist_decode(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
-        }
-        // Structural validation: a non-power-of-two shard count is
-        // refused even if the bytes parse.
-        let mut bad = bytes.clone();
-        bad[8..12].copy_from_slice(&3u32.to_le_bytes());
-        assert!(IndexSnapshot::persist_decode(&bad).is_err());
     }
 }

@@ -12,9 +12,9 @@
 //! without killing processes.
 
 use mapsynth::pipeline::{PipelineConfig, Resolver, SynthesisSession};
-use mapsynth_corpus::Corpus;
+use mapsynth_corpus::{Corpus, FrameWriter};
 use mapsynth_serve::ingest::{DeltaIngestor, DeltaRequest, IngestorConfig, NoFaults, TableSpec};
-use mapsynth_serve::{recover, MappingService, PersistConfig, Persistence, WalTail};
+use mapsynth_serve::{recover, MappingService, PersistConfig, PersistError, Persistence, WalTail};
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -523,5 +523,59 @@ fn resume_crash_before_archive_roll_loses_nothing() {
         snapshot.lookup("Cydonia").is_some(),
         "served state must include the final delta"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Recovery stamps the served snapshot with the version the uncrashed
+/// service serves, whichever way the archive and the WAL tail meet.
+#[test]
+fn recovered_versions_follow_the_archive() {
+    // (case, deltas, archive cadence, archive version, replayed, served)
+    let cases: [(&str, usize, u64, u64, u64, u64); 3] = [
+        // The base archive is written before any publish.
+        ("unpublished base archive", 0, 1_000_000, 0, 0, 1),
+        // Two deltas publish v1 and roll an archive at it.
+        ("archive after a publish", 2, 1, 1, 0, 1),
+        // Publishes v1, v2 (archived), then one record past it.
+        ("records replayed", 5, 2, 2, 1, 3),
+    ];
+    for (case, deltas, archive_every, archive_version, replayed, served) in cases {
+        let dir = tmp_dir(&format!("versions-{deltas}"));
+        let mut pcfg = PersistConfig::new(&dir);
+        pcfg.archive_every_publishes = archive_every;
+        run_persisted(deltas, pcfg);
+        let r = recover(&dir, pipe_cfg(), Resolver::Algorithm4)
+            .unwrap_or_else(|e| panic!("{case}: recovery failed: {e}"))
+            .report;
+        assert_eq!(
+            (r.archive_version, r.wal_replayed, r.served_version),
+            (archive_version, replayed, served),
+            "{case}"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// An archive in the previous layout (kind `MSA1`: meta, corpus and a
+/// serialized index) is refused by its header, never half-read: with
+/// no other generation present, recovery fails with a typed error.
+#[test]
+fn previous_format_archive_is_refused() {
+    let dir = tmp_dir("msa1");
+    fs::create_dir_all(&dir).unwrap();
+    let mut meta = Vec::new();
+    for v in [1u64, 0, 0] {
+        meta.extend_from_slice(&v.to_le_bytes());
+    }
+    let kind = u32::from_le_bytes(*b"MSA1");
+    let mut w = FrameWriter::create(&dir.join("archive-00000001.msa"), kind).unwrap();
+    w.write_frame(&meta).unwrap();
+    w.write_frame(&0u32.to_le_bytes()).unwrap();
+    w.write_frame(b"index").unwrap();
+    w.finish().unwrap();
+    assert!(matches!(
+        recover(&dir, pipe_cfg(), Resolver::Algorithm4),
+        Err(PersistError::AllArchivesCorrupt { tried: 1 })
+    ));
     let _ = fs::remove_dir_all(&dir);
 }
