@@ -7,8 +7,10 @@
 
 use crate::intern::Sym;
 use crate::sketch::{PostingSketch, SKETCH_MIN_LEN};
+use crate::stats::HotTier;
 use crate::table::Corpus;
 use std::collections::HashSet;
+use std::sync::{Arc, OnceLock};
 
 /// Global identifier of a column: dense index over all columns in the
 /// corpus in `(table, column)` order.
@@ -32,6 +34,11 @@ pub struct ValueIndex {
     /// gid could have been a stored bucket minimum).
     sketches: Vec<Option<Box<PostingSketch>>>,
     total_columns: usize,
+    /// Dense membership rows of the hot posting lists, built by the
+    /// first coherence call (whichever worker gets there first) and
+    /// dropped by every mutation, so it always mirrors the postings.
+    /// Clones share it until one of them mutates.
+    hot: OnceLock<Arc<HotTier>>,
 }
 
 impl ValueIndex {
@@ -44,6 +51,7 @@ impl ValueIndex {
             postings: Vec::new(),
             sketches: Vec::new(),
             total_columns: 0,
+            hot: OnceLock::new(),
         }
     }
 
@@ -73,6 +81,7 @@ impl ValueIndex {
             postings,
             sketches,
             total_columns: total,
+            hot: OnceLock::new(),
         }
     }
 
@@ -100,6 +109,30 @@ impl ValueIndex {
         self.sketches.get(u.index()).and_then(|s| s.as_deref())
     }
 
+    /// The hot tier over the current postings (see [`HotTier`]), built
+    /// on first use.
+    pub fn hot_tier(&self) -> &HotTier {
+        self.hot.get_or_init(|| Arc::new(HotTier::build(self)))
+    }
+
+    /// Every posting list, indexed by symbol.
+    pub(crate) fn posting_lists(&self) -> &[Vec<GlobalColId>] {
+        &self.postings
+    }
+
+    /// Install `tier` in place of the one [`hot_tier`](Self::hot_tier)
+    /// would build, so tests can lower the hot threshold.
+    #[cfg(test)]
+    pub(crate) fn install_hot_tier(&mut self, tier: HotTier) {
+        self.hot = OnceLock::from(Arc::new(tier));
+    }
+
+    /// Whether a hot tier is currently built.
+    #[cfg(test)]
+    pub(crate) fn has_hot_tier(&self) -> bool {
+        self.hot.get().is_some()
+    }
+
     /// Total number of columns contributing evidence (the `N` of
     /// Equation 1). After incremental updates this counts *live*
     /// columns only — removed columns no longer contribute.
@@ -124,6 +157,7 @@ impl ValueIndex {
     /// after the corpus' existing ones), which keeps every posting
     /// list sorted by a plain push.
     pub fn add_column<I: IntoIterator<Item = Sym>>(&mut self, gid: GlobalColId, distinct: I) {
+        self.hot.take();
         for v in distinct {
             self.grow_symbols(v.index() + 1);
             let p = &mut self.postings[v.index()];
@@ -152,6 +186,7 @@ impl ValueIndex {
         leaving: impl IntoIterator<Item = Sym>,
         entering: impl IntoIterator<Item = Sym>,
     ) {
+        self.hot.take();
         for v in leaving {
             let p = &mut self.postings[v.index()];
             let at = p
@@ -179,6 +214,7 @@ impl ValueIndex {
     /// Remove a column's evidence. `distinct` must be the same distinct
     /// value set the column was registered with.
     pub fn remove_column<I: IntoIterator<Item = Sym>>(&mut self, gid: GlobalColId, distinct: I) {
+        self.hot.take();
         for v in distinct {
             let p = &mut self.postings[v.index()];
             let at = p

@@ -58,7 +58,7 @@ pub use io::{load_csv_dir, load_csv_table, parse_csv};
 pub use sketch::{PostingSketch, SKETCH_MIN_LEN};
 pub use stats::{
     coherence_from_counts, column_coherence, column_coherence_detailed, column_coherence_excluding,
-    npmi, pmi, CoherenceConfig, CoherenceDetail, CoherenceFunnel, CooccurrenceStats,
+    npmi, pmi, CoherenceConfig, CoherenceDetail, CoherenceFunnel, CooccurrenceStats, HotTier,
 };
 pub use stream::{CorpusStream, TableSource};
 pub use table::{Column, Corpus, DomainId, RowPatch, RowPatchError, Table, TableId};

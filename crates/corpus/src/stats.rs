@@ -11,11 +11,24 @@
 //! Columns whose values never co-occur elsewhere ("Location" in the
 //! paper's Table 7: mixed addresses, zip codes, free text) score low and
 //! are pruned before candidate extraction.
+//!
+//! Extraction evaluates Equation 2 for every structural column, so the
+//! pairwise counts `|C(u) ∩ C(v)|` are the dominant cost. They come out
+//! of a five-tier funnel (see [`column_coherence_detailed`]): shortcuts,
+//! a [`HotTier`] that mirrors every hot posting list as a dense row and
+//! caches hot-pair counts across columns and workers, the exact
+//! [`PostingSketch`](crate::sketch::PostingSketch) bounds, a gallop for
+//! short lists, and one AND/popcount pass over the rest. Every tier is
+//! exact; the `#[cfg(test)]` probe oracle holds them to the plain
+//! pair-by-pair intersections.
 
 use crate::index::{GlobalColId, ValueIndex};
 use crate::intern::Sym;
 use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// Pre-resolved co-occurrence counts for a pair of values.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -215,9 +228,13 @@ pub struct CoherenceFunnel {
     /// singleton shortcuts, and sketch bounds that pinched
     /// (`lower == upper`).
     pub sketch_rejects: u64,
-    /// Pairs that fell through to posting-list data (small-list
-    /// probes or the restricted-universe bitmap intersection).
+    /// Pairs that fell through to posting-list data (hot-pair counts,
+    /// small-list probes, hot-row probes or the restricted-universe
+    /// bitmap intersection).
     pub list_probes: u64,
+    /// The subset of `list_probes` whose two lists are both hot: counted
+    /// from the [`HotTier`]'s shared pair cache.
+    pub hot_probes: u64,
 }
 
 impl CoherenceFunnel {
@@ -226,6 +243,7 @@ impl CoherenceFunnel {
     pub fn merge(&mut self, other: &CoherenceFunnel) {
         self.sketch_rejects += other.sketch_rejects;
         self.list_probes += other.list_probes;
+        self.hot_probes += other.hot_probes;
     }
 }
 
@@ -237,13 +255,15 @@ const DIRECT_PROBE_MAX: usize = 8;
 /// [`column_coherence_excluding`] plus the raw evidence it was computed
 /// from. The score is bit-identical to the plain entry point.
 ///
-/// The O(samples²) pair loop consults the posting-list sketches first
-/// ([`crate::sketch::PostingSketch`]); pairs the exact bounds resolve
-/// never touch a posting list, and the survivors are intersected
-/// together over one restricted universe of column ids (64 columns per
-/// machine word) instead of pair-by-pair list merges. Every count is
-/// exact, so the detail — and therefore the score — is bit-identical
-/// to the `#[cfg(test)]` probe oracle this path is tested against.
+/// The O(samples²) pair loop runs through the five-tier funnel of
+/// `pair_cooccurrences`: pairs of hot values are read from the
+/// [`HotTier`]'s shared cache, pairs the exact sketch bounds resolve
+/// never touch a posting list, and the survivors are counted against a
+/// hot row or intersected together over one restricted universe of
+/// column ids (64 columns per machine word) instead of pair-by-pair
+/// list merges. Every count is exact, so the detail — and therefore the
+/// score — is bit-identical to the `#[cfg(test)]` probe oracle this
+/// path is tested against.
 pub fn column_coherence_detailed(
     index: &ValueIndex,
     distinct_values: &[Sym],
@@ -273,25 +293,33 @@ pub fn column_coherence_detailed(
 
 /// `|C(u) ∩ C(v)|` for every sampled pair in `i < j` order — the exact
 /// counts the old pair-by-pair [`ValueIndex::cooccurrence`] loop
-/// produced, through a four-tier funnel (the first three classify a
+/// produced, through a five-tier funnel (the first four classify a
 /// pair on its own, the last counts all survivors together):
 ///
 /// 1. **Shortcuts** — an empty list intersects nothing; when both
 ///    lists contain the scored column `g`, a singleton list is exactly
 ///    `{g}` and the pair counts 1.
-/// 2. **Sketch resolution** — when both lists carry a sketch, its
+/// 2. **Hot pair** — when both lists are hot (see [`HotTier`]), the
+///    count comes from the tier's cache, filled by one AND/popcount of
+///    the two rows the first time any column asks. Two lists this long
+///    all but never pinch their sketches' bounds, so the sketches are
+///    not consulted and the pair counts as a list probe.
+/// 3. **Sketch resolution** — when both lists carry a sketch, its
 ///    exact lower/upper overlap bounds (floored at 1 when both lists
 ///    contain `g`); a pinched pair (`lb == ub`) is resolved without
 ///    list access.
-/// 3. **Gallop** — when a side is unsketched and at most
+/// 4. **Gallop** — when a side is unsketched and at most
 ///    [`DIRECT_PROBE_MAX`] long, the shorter list is binary-searched
-///    in the longer.
-/// 4. **Scatter-built bitmap intersection** — survivors are counted
-///    over one shared restricted universe: every gid of the involved
-///    posting lists gets a dense bit position on first touch (see
-///    [`Universe::scatter`]), each list is read once into a bitvector,
-///    each pair is a word-parallel AND/popcount. The cost is the postings
-///    read plus the words intersected — no sort, no merge.
+///    in the longer (or tested in its hot row).
+/// 5. **The rest** — a hot–cold pair tests each gid of the cold list
+///    in the hot row, once per tier: the count joins the tier's cache,
+///    since the same pair recurs in many columns. Cold–cold pairs are
+///    counted over one shared restricted universe: every gid of the
+///    involved posting lists gets a dense bit position on first touch
+///    (see [`Universe::scatter`]), each list is read once into a
+///    bitvector, each pair is a word-parallel AND/popcount. No hot list
+///    is ever scattered, so the cost is the cold postings read plus the
+///    words intersected — no sort, no merge.
 fn pair_cooccurrences(
     index: &ValueIndex,
     samples: &[Sym],
@@ -304,17 +332,25 @@ fn pair_cooccurrences(
     if n_pairs == 0 {
         return pair_counts;
     }
-    // Per-sample facts, gathered once: list length and whether the
-    // scored column is a member (true by construction when extraction
-    // calls this, but verified so the entry point stays exact for any
-    // caller).
+    let tier = index.hot_tier();
+    // Per-sample facts, gathered once: list length, hot row, and
+    // whether the scored column is a member (true by construction when
+    // extraction calls this, but verified so the entry point stays
+    // exact for any caller).
     let lens: Vec<usize> = samples.iter().map(|&u| index.column_count(u)).collect();
-    let has_g: Vec<bool> = samples
+    let hot: Vec<Option<u32>> = samples
         .iter()
-        .map(|&u| index.columns(u).binary_search(&exclude).is_ok())
+        .zip(&lens)
+        .map(|(&u, &len)| tier.row_of(u, len))
+        .collect();
+    let has_g: Vec<bool> = (samples.iter().zip(&hot))
+        .map(|(&u, &row)| match row {
+            Some(r) => tier.contains(r, exclude),
+            None => index.columns(u).binary_search(&exclude).is_ok(),
+        })
         .collect();
 
-    // (i, j, slot) of pairs the sketches could not resolve.
+    // (i, j, slot) of pairs the first four tiers could not resolve.
     let mut unresolved: Vec<(u32, u32, u32)> = Vec::new();
     let mut slot = 0usize;
     for i in 0..k {
@@ -328,6 +364,12 @@ fn pair_cooccurrences(
                 // is in the other list too.
                 pair_counts[slot] = 1;
                 funnel.sketch_rejects += 1;
+            } else if let (Some(a), Some(b)) = (hot[i], hot[j]) {
+                pair_counts[slot] = tier.pair_count(a, b);
+                funnel.list_probes += 1;
+                funnel.hot_probes += 1;
+                #[cfg(test)]
+                tests::count_kind(0);
             } else if let (Some(su), Some(sv)) =
                 (index.sketch(samples[i]), index.sketch(samples[j]))
             {
@@ -346,9 +388,14 @@ fn pair_cooccurrences(
                 }
             } else if lens[i].min(lens[j]) <= DIRECT_PROBE_MAX {
                 // Short lists gallop against the longer one directly —
-                // cheaper than widening the bitmap universe for them.
-                pair_counts[slot] =
-                    gallop_intersection(index.columns(samples[i]), index.columns(samples[j]));
+                // cheaper than widening the bitmap universe for them —
+                // or test their gids in its hot row.
+                let (a, b) = (index.columns(samples[i]), index.columns(samples[j]));
+                pair_counts[slot] = match (hot[i], hot[j]) {
+                    (Some(r), _) => tier.probe(r, b),
+                    (_, Some(r)) => tier.probe(r, a),
+                    (None, None) => gallop_intersection(a, b),
+                };
                 funnel.list_probes += 1;
             } else {
                 unresolved.push((i as u32, j as u32, slot as u32));
@@ -361,10 +408,30 @@ fn pair_cooccurrences(
     }
     funnel.list_probes += unresolved.len() as u64;
 
+    // Hot–cold pairs are counted against the hot row (once per tier,
+    // through its cache); only cold–cold pairs stay.
     let mut involved = vec![false; k];
-    for &(i, j, _) in &unresolved {
-        involved[i as usize] = true;
-        involved[j as usize] = true;
+    unresolved.retain(|&(i, j, s)| {
+        let (i, j) = (i as usize, j as usize);
+        let (row, cold) = match (hot[i], hot[j]) {
+            (Some(row), _) => (row, j),
+            (_, Some(row)) => (row, i),
+            (None, None) => {
+                involved[i] = true;
+                involved[j] = true;
+                #[cfg(test)]
+                tests::count_kind(2);
+                return true;
+            }
+        };
+        pair_counts[s as usize] =
+            tier.cold_pair_count(row, samples[cold], index.columns(samples[cold]));
+        #[cfg(test)]
+        tests::count_kind(1);
+        false
+    });
+    if unresolved.is_empty() {
+        return pair_counts;
     }
     // One bitvector per involved sample over the restricted universe,
     // all in one arena, each posting list read exactly once. Rows grow
@@ -383,9 +450,208 @@ fn pair_cooccurrences(
             &arena[rows[i as usize].clone()],
             &arena[rows[j as usize].clone()],
         );
-        pair_counts[s as usize] = ru.iter().zip(rv).map(|(a, b)| (a & b).count_ones()).sum();
+        pair_counts[s as usize] = and_popcount(ru, rv);
     }
     pair_counts
+}
+
+/// `Σ popcount(a & b)` over the common prefix of two bit rows.
+fn and_popcount(a: &[u64], b: &[u64]) -> u32 {
+    a.iter().zip(b).map(|(x, y)| (x & y).count_ones()).sum()
+}
+
+/// Every posting list at least this long is hot, whatever the corpus
+/// size.
+const HOT_MIN_LEN: usize = 128;
+
+/// Lock stripes of the hot-pair cache: enough that workers rarely
+/// contend, few enough that an empty tier costs nothing.
+const HOT_STRIPES: usize = 64;
+
+/// Multiplicative hasher for the integer keys of [`HotTier`]'s maps.
+#[derive(Default)]
+struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let h = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+type IntMap<K> = HashMap<K, u32, BuildHasherDefault<IntHasher>>;
+
+/// The coherence funnel's hot tier: a dense membership row over the gid
+/// space for every *hot* posting list, and a cache of hot-pair counts
+/// shared by every worker that scores columns against the same index.
+///
+/// A handful of values (country names, codes, small integers) sit in a
+/// large share of all columns, and most columns sample a few of them,
+/// so without this tier every column re-reads the same long lists.
+/// Here a hot list is read once, when its row is built; a pair of hot
+/// values is counted once, by AND/popcount of two rows, the first time
+/// any column asks; a hot–cold pair the sketches leave open is counted
+/// once, by testing the cold list's gids in the hot row.
+///
+/// A list is hot when it holds at least `max(128, w/4)` postings, where
+/// `w` is the row length in 64-bit words (`⌈span/64⌉` for the gid span
+/// `span`, which is `N` = [`ValueIndex::total_columns`] on a fresh
+/// build) — so a row never costs more than 8× the postings it mirrors.
+/// [`ValueIndex`] builds the tier on the first coherence call and drops
+/// it on every mutation, so it always describes the current postings.
+pub struct HotTier {
+    /// Row number of each hot symbol.
+    row_of: IntMap<u32>,
+    /// The minimum hot list length.
+    threshold: usize,
+    /// Words per row.
+    words: usize,
+    /// Row `r` is `rows[r * words..(r + 1) * words]`; bit `g` is set
+    /// iff column `g` is on the list.
+    rows: Vec<u64>,
+    /// Pair counts, split into lock stripes: hot–hot pairs keyed by
+    /// `lo << 32 | hi` over row numbers, hot–cold pairs by
+    /// `1 << 63 | row << 32 | sym`. An entry is only ever inserted
+    /// complete, so a stripe poisoned by a panic elsewhere is still
+    /// sound to use.
+    pairs: Box<[Mutex<IntMap<u64>>]>,
+}
+
+impl HotTier {
+    /// The tier over `index`'s current postings.
+    pub(crate) fn build(index: &ValueIndex) -> Self {
+        let words = row_words(index);
+        Self::with_threshold(index, words, HOT_MIN_LEN.max(words.div_ceil(4)))
+    }
+
+    /// The tier with every list of at least `min_len` postings hot, so
+    /// tests on small corpora reach it.
+    #[cfg(test)]
+    pub(crate) fn build_with_min(index: &ValueIndex, min_len: usize) -> Self {
+        Self::with_threshold(index, row_words(index), min_len.max(1))
+    }
+
+    fn with_threshold(index: &ValueIndex, words: usize, threshold: usize) -> Self {
+        let mut row_of = IntMap::default();
+        let mut rows = Vec::new();
+        for (sym, list) in index.posting_lists().iter().enumerate() {
+            if list.len() < threshold {
+                continue;
+            }
+            debug_assert!(
+                row_of.len() < 1 << 31,
+                "row numbers must leave the key's top bit"
+            );
+            row_of.insert(sym as u32, row_of.len() as u32);
+            let start = rows.len();
+            rows.resize(start + words, 0u64);
+            let row = &mut rows[start..];
+            for &g in list {
+                row[g.0 as usize / 64] |= 1u64 << (g.0 % 64);
+            }
+        }
+        Self {
+            row_of,
+            threshold,
+            words,
+            rows,
+            pairs: (0..HOT_STRIPES).map(|_| Mutex::default()).collect(),
+        }
+    }
+
+    /// Number of hot lists (rows).
+    pub fn rows(&self) -> usize {
+        self.row_of.len()
+    }
+
+    /// Bytes held by the rows.
+    pub fn row_bytes(&self) -> usize {
+        self.rows.len() * std::mem::size_of::<u64>()
+    }
+
+    /// The row of `u`, whose posting list has `len` entries, if hot.
+    #[inline]
+    fn row_of(&self, u: Sym, len: usize) -> Option<u32> {
+        if len < self.threshold {
+            return None;
+        }
+        self.row_of.get(&u.0).copied()
+    }
+
+    fn row(&self, r: u32) -> &[u64] {
+        let start = r as usize * self.words;
+        &self.rows[start..start + self.words]
+    }
+
+    /// Whether column `g` is on hot row `r`.
+    #[inline]
+    fn contains(&self, r: u32, g: GlobalColId) -> bool {
+        self.probe(r, std::slice::from_ref(&g)) == 1
+    }
+
+    /// `|C(u) ∩ C(v)|` of two hot rows, from the cache or by one
+    /// AND/popcount that fills it.
+    fn pair_count(&self, a: u32, b: u32) -> u32 {
+        let key = (u64::from(a.min(b)) << 32) | u64::from(a.max(b));
+        self.cached(key, || and_popcount(self.row(a), self.row(b)))
+    }
+
+    /// `|C(u) ∩ C(v)|` of hot row `r` and the cold value `v` with
+    /// posting list `list`, from the cache or by probing the row.
+    fn cold_pair_count(&self, r: u32, v: Sym, list: &[GlobalColId]) -> u32 {
+        // Row numbers stay below 2^31, so the top bit keeps these keys
+        // apart from the hot–hot ones.
+        let key = (1 << 63) | (u64::from(r) << 32) | u64::from(v.0);
+        self.cached(key, || self.probe(r, list))
+    }
+
+    /// The cached count under `key`, or `count()` inserted for it.
+    fn cached(&self, key: u64, count: impl FnOnce() -> u32) -> u32 {
+        let stripe = &self.pairs[(key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize];
+        let lock = || stripe.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&n) = lock().get(&key) {
+            return n;
+        }
+        // Counted outside the lock: two workers may both count a fresh
+        // pair, and both insert the same exact value.
+        let n = count();
+        lock().insert(key, n);
+        n
+    }
+
+    /// `|C(u) ∩ list|` for hot row `r` and any sorted posting list.
+    fn probe(&self, r: u32, list: &[GlobalColId]) -> u32 {
+        let row = self.row(r);
+        list.iter()
+            .map(|g| {
+                row.get(g.0 as usize / 64)
+                    .map_or(0, |w| (w >> (g.0 % 64)) as u32 & 1)
+            })
+            .sum()
+    }
+}
+
+/// Row length in words covering every gid the postings mention.
+fn row_words(index: &ValueIndex) -> usize {
+    let span = (index.posting_lists().iter())
+        .filter_map(|list| list.last())
+        .max()
+        .map_or(0, |g| g.0 as usize + 1);
+    span.div_ceil(64)
 }
 
 /// Marks a gid without a bit position in [`Scratch::position`].
@@ -509,6 +775,26 @@ pub fn coherence_from_counts(value_counts: &[u32], pair_counts: &[u32], total: u
 mod tests {
     use super::*;
     use crate::table::Corpus;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Pairs this thread sent to the hot tier, per kind: hot–hot,
+        /// hot–cold, cold–cold (the last two only once tiers 1–4 left
+        /// them unresolved).
+        static KINDS: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    pub(super) fn count_kind(kind: usize) {
+        KINDS.with(|k| {
+            let mut v = k.get();
+            v[kind] += 1;
+            k.set(v);
+        });
+    }
+
+    fn take_kinds() -> [u64; 3] {
+        KINDS.with(|k| k.replace([0; 3]))
+    }
 
     #[test]
     fn pmi_example_from_paper() {
@@ -788,6 +1074,130 @@ mod tests {
         assert_columns_match_probe(&idx, &columns, CoherenceConfig { max_sample: 100 });
     }
 
+    /// The wide corpus with a test tier whose threshold splits its
+    /// 65- and 66-long lists into cold and hot ones.
+    const WIDE_HOT_MIN: usize = 66;
+
+    /// Through every kind of mutation, the index drops its tier, a
+    /// rebuilt tier sends pairs down all three hot-tier routes, and
+    /// every count equals the probe oracle.
+    #[test]
+    fn hot_tier_pairs_match_probe_through_mutation() {
+        let c = wide_corpus();
+        let mut idx = ValueIndex::build(&c);
+        let mut columns = model_of(&c);
+        let cfg = CoherenceConfig { max_sample: 100 };
+        let check = |idx: &mut ValueIndex, columns: &[ModelColumn]| {
+            assert!(!idx.has_hot_tier(), "a mutation left a stale tier");
+            idx.install_hot_tier(HotTier::build_with_min(idx, WIDE_HOT_MIN));
+            take_kinds();
+            let funnel = assert_columns_match_probe(idx, columns, cfg);
+            let kinds = take_kinds();
+            assert!(
+                kinds.iter().all(|&n| n > 0),
+                "a route went unused: {kinds:?}"
+            );
+            assert_eq!(funnel.hot_probes, kinds[0]);
+        };
+        check(&mut idx, &columns);
+
+        let names: Vec<Sym> = columns[0].1.clone();
+        let added: Vec<Sym> = names.iter().copied().step_by(2).collect();
+        idx.add_column(GlobalColId(151), added.iter().copied());
+        columns.push((GlobalColId(151), added));
+        check(&mut idx, &columns);
+
+        let (gid, distinct) = columns.remove(7);
+        idx.remove_column(gid, distinct);
+        check(&mut idx, &columns);
+
+        let (gid, distinct) = &mut columns[3];
+        let leaving: Vec<Sym> = distinct.iter().copied().take(5).collect();
+        let entering: Vec<Sym> = (names.iter().copied())
+            .filter(|v| !distinct.contains(v))
+            .take(5)
+            .collect();
+        distinct.retain(|v| !leaving.contains(v));
+        distinct.extend(&entering);
+        idx.patch_column(*gid, leaving, entering);
+        check(&mut idx, &columns);
+    }
+
+    /// Four threads scoring the same columns through one shared tier
+    /// race to fill its pair cache; every count equals the oracle.
+    #[test]
+    fn shared_hot_tier_is_exact_across_threads() {
+        let c = wide_corpus();
+        let mut idx = ValueIndex::build(&c);
+        idx.install_hot_tier(HotTier::build_with_min(&idx, WIDE_HOT_MIN));
+        let columns = model_of(&c);
+        let cfg = CoherenceConfig { max_sample: 100 };
+        let funnels: Vec<CoherenceFunnel> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| assert_columns_match_probe(&idx, &columns, cfg)))
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(funnels[0].hot_probes > 0);
+        assert!(funnels.iter().all(|f| f == &funnels[0]));
+    }
+
+    /// A panic that unwinds while a pair-cache stripe is held poisons
+    /// it; later calls keep using the stripe and stay exact.
+    #[test]
+    fn poisoned_pair_cache_stays_exact() {
+        let c = wide_corpus();
+        let mut idx = ValueIndex::build(&c);
+        idx.install_hot_tier(HotTier::build_with_min(&idx, WIDE_HOT_MIN));
+        let columns = model_of(&c);
+        let cfg = CoherenceConfig { max_sample: 100 };
+        // Fill part of the cache first, so poisoned stripes hold entries.
+        assert_columns_match_probe(&idx, &columns[..10], cfg);
+        for stripe in idx.hot_tier().pairs.iter() {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _held = stripe.lock().unwrap();
+                std::panic::resume_unwind(Box::new("induced"));
+            }));
+            assert!(unwound.is_err());
+            assert!(stripe.is_poisoned());
+        }
+        let funnel = assert_columns_match_probe(&idx, &columns, cfg);
+        assert!(funnel.hot_probes > 0);
+    }
+
+    /// The real rule keeps each row within 8× the postings it mirrors —
+    /// on a fresh gid span, and after a far gid widens every row.
+    #[test]
+    fn hot_rows_cost_at_most_8x_their_postings() {
+        let mut idx = ValueIndex::empty();
+        // Value s sits in every column g with g % 200 == s, plus value
+        // 200 + s in the first 150 + s columns: 40,000 columns, lists of
+        // 150..=349 and 200 postings around the threshold of ⌈40000/256⌉.
+        for g in 0..40_000u32 {
+            let mut vals = vec![Sym(g % 200)];
+            vals.extend((0..200).filter(|&s| g < 150 + s).map(|s| Sym(200 + s)));
+            idx.add_column(GlobalColId(g), vals);
+        }
+        let bound = |idx: &ValueIndex| {
+            let tier = idx.hot_tier();
+            let mirrored: usize = (idx.posting_lists().iter().enumerate())
+                .filter(|(sym, list)| tier.row_of(Sym(*sym as u32), list.len()).is_some())
+                .map(|(_, list)| list.len())
+                .sum();
+            let postings_bytes = mirrored * std::mem::size_of::<GlobalColId>();
+            assert!(
+                tier.row_bytes() <= 8 * postings_bytes,
+                "{} row bytes for {postings_bytes} bytes of postings",
+                tier.row_bytes()
+            );
+            tier.rows()
+        };
+        let rows = bound(&idx);
+        assert!((200..400).contains(&rows), "{rows} hot rows");
+        idx.add_column(GlobalColId(1_000_000), [Sym(0)]);
+        bound(&idx);
+    }
+
     proptest::proptest! {
         /// Bit-identity on arbitrary corpora under arbitrary index
         /// maintenance: whatever mixture of list lengths, overlaps and
@@ -795,7 +1205,9 @@ mod tests {
         /// pair loop equals the probe oracle — initially and after
         /// each `add_column` (at the next gid, or past a gap far above
         /// `total_columns()`), `remove_column` and `patch_column` —
-        /// with all calls sharing one thread's scratch.
+        /// with all calls sharing one thread's scratch, and a hot tier
+        /// whose threshold the case picks, dropped by each mutation and
+        /// rebuilt after it.
         #[test]
         fn prop_fast_pair_counts_match_probe(
             tables in proptest::collection::vec(
@@ -811,6 +1223,7 @@ mod tests {
                 ),
                 0..8,
             ),
+            hot_min in 2usize..14,
         ) {
             let mut c = Corpus::new();
             let d = c.domain("x");
@@ -824,6 +1237,7 @@ mod tests {
             let mut columns = model_of(&c);
             let mut next_gid = columns.len() as u32;
             let cfg = CoherenceConfig::default();
+            idx.install_hot_tier(HotTier::build_with_min(&idx, hot_min));
             assert_columns_match_probe(&idx, &columns, cfg);
             for (op, target, vals, gap) in edits {
                 let mut vals: Vec<Sym> = vals.iter().map(|&v| syms[v as usize]).collect();
@@ -851,6 +1265,8 @@ mod tests {
                         idx.patch_column(*gid, leaving, entering);
                     }
                 }
+                proptest::prop_assert!(!idx.has_hot_tier(), "a mutation left a stale tier");
+                idx.install_hot_tier(HotTier::build_with_min(&idx, hot_min));
                 assert_columns_match_probe(&idx, &columns, cfg);
             }
         }

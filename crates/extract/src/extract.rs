@@ -15,11 +15,11 @@
 //! numeric-left filter and approximate-FD checks depend on table
 //! content alone and are never re-run for unchanged tables.
 
-use crate::filters::{approx_fd_holds, column_passes, numeric_fraction};
+use crate::filters::{fd_check, norm_ids, numeric_fraction, passes_with_distinct};
 use mapsynth_corpus::{
     coherence_from_counts, column_coherence_detailed, BinaryId, BinaryTable, CoherenceConfig,
-    CoherenceDetail, CoherenceFunnel, Corpus, GlobalColId, Interner, RowPatch, Sym, Table, TableId,
-    TableSource, ValueIndex,
+    CoherenceDetail, CoherenceFunnel, Column, Corpus, GlobalColId, Interner, RowPatch, Sym, Table,
+    TableId, TableSource, ValueIndex,
 };
 use mapsynth_mapreduce::MapReduce;
 use std::collections::{HashMap, HashSet};
@@ -180,7 +180,8 @@ fn extract_table(
     let mut kept: Vec<usize> = Vec::new();
     for (ci, col) in table.columns.iter().enumerate() {
         stats.columns += 1;
-        if !column_passes(strs, col, cfg.min_distinct, cfg.max_avg_len) {
+        let distinct = col.distinct();
+        if !passes_with_distinct(strs, col, distinct.len(), cfg.min_distinct, cfg.max_avg_len) {
             stats.columns_structural += 1;
             cols.push(ColumnCache {
                 structural: false,
@@ -192,7 +193,7 @@ fn extract_table(
         }
         let gid = GlobalColId(first_gid + ci as u32);
         let (coherence, detail) =
-            column_coherence_detailed(index, &col.distinct(), cfg.coherence, gid, &mut funnel);
+            column_coherence_detailed(index, &distinct, cfg.coherence, gid, &mut funnel);
         let keep = coherence >= cfg.min_coherence;
         if !keep {
             stats.columns_incoherent += 1;
@@ -217,7 +218,9 @@ fn extract_table(
 }
 
 /// The ordered-pair tail of per-table extraction: numeric-left and
-/// approximate-FD filters over the kept columns.
+/// approximate-FD filters over the kept columns. Each kept column's
+/// numeric share is computed once, and its cells are normalized once
+/// into ids ([`norm_ids`]) that every ordered pair's FD check shares.
 fn enumerate_pairs(
     strs: &Interner,
     table: &Table,
@@ -227,18 +230,31 @@ fn enumerate_pairs(
 ) -> Vec<CandidateRows> {
     let entry = *stats;
     let mut pairs = Vec::new();
-    for &i in kept {
-        for &j in kept {
+    if kept.len() < 2 {
+        return pairs;
+    }
+    let numeric_left: Vec<bool> = kept
+        .iter()
+        .map(|&i| numeric_fraction(strs, &table.columns[i]) >= cfg.max_left_numeric)
+        .collect();
+    let ids = if numeric_left.contains(&false) {
+        let cols: Vec<&Column> = kept.iter().map(|&i| &table.columns[i]).collect();
+        norm_ids(strs, &cols)
+    } else {
+        Vec::new()
+    };
+    let mut buf = Vec::new();
+    for (a, &i) in kept.iter().enumerate() {
+        for (b, &j) in kept.iter().enumerate() {
             if i == j {
                 continue;
             }
             stats.pairs_considered += 1;
-            let (left, right) = (&table.columns[i], &table.columns[j]);
-            if numeric_fraction(strs, left) >= cfg.max_left_numeric {
+            if numeric_left[a] {
                 stats.pairs_numeric_left += 1;
                 continue;
             }
-            let (ok, _) = approx_fd_holds(strs, left, right, cfg.fd_theta);
+            let (ok, _) = fd_check(&ids[a], &ids[b], cfg.fd_theta, &mut buf);
             if !ok {
                 stats.pairs_failed_fd += 1;
                 continue;
