@@ -344,8 +344,6 @@ fn fault() -> Record {
         .exact("fault_malformed", out.malformed)
         .exact("fault_sabotaged", out.sabotaged)
         .exact("fault_publishes", s.publishes)
-        .exact("fault_publish_retries", s.publish_retries)
-        .exact("fault_publishes_abandoned", s.publishes_abandoned)
         .exact("fault_compactions", s.compactions)
         .exact("fault_served_version", out.served_version)
         .exact("fault_candidates", session.live_tables())

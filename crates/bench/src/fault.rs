@@ -1,9 +1,8 @@
 //! Deterministic fault-injection harness over the serve-side
-//! [`DeltaIngestor`]: a seeded request stream with malformed deltas,
-//! induced apply panics and simulated publish failures at *chosen*
-//! positions — so the driver knows every expected rejection,
-//! quarantine entry, retry and abandoned publish **a priori** and can
-//! gate them exactly.
+//! [`DeltaIngestor`]: a seeded request stream with malformed deltas
+//! and induced apply panics at *chosen* positions — so the harness
+//! knows every expected rejection and quarantine entry **a priori** and
+//! can gate them exactly.
 //!
 //! The stream mirrors the sustained row-delta stream's churn shape
 //! (row patches, table removals, stashed re-insertions) but goes
@@ -17,7 +16,6 @@
 //!   poisoned delta had never been submitted;
 //! * every rejected delta is present in the quarantine with its exact
 //!   stream position and expected typed reason;
-//! * retry/abandon counters match the publish-failure plan exactly;
 //! * a concurrent reader sustained lookups throughout, observing only
 //!   monotone snapshot versions (serving QPS under churn is recorded).
 
@@ -32,7 +30,7 @@ use mapsynth_serve::ingest::{
 use mapsynth_serve::MappingService;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Corpus size of the fault-injection stream tier.
 pub const FAULT_STREAM_TABLES: usize = 100;
@@ -40,8 +38,6 @@ pub const FAULT_STREAM_TABLES: usize = 100;
 pub const FAULT_STREAM_DELTAS: usize = 400;
 /// Ingestor publish cadence used by the fault tier.
 pub const FAULT_PUBLISH_EVERY: usize = 25;
-/// Publish attempts before the ingestor abandons a publish.
-pub const FAULT_MAX_PUBLISH_ATTEMPTS: u32 = 3;
 
 /// The kind of poison planted at a malformed stream position. Kinds
 /// cycle in this order, exercising key resolution, corpus-level patch
@@ -76,10 +72,9 @@ pub enum ExpectedRejection {
 }
 
 /// The deterministic fault plan: which stream positions carry
-/// malformed requests, which valid requests get their apply sabotaged,
-/// and which publish attempts fail transiently. A pure function of the
-/// stream length, so the driver can compute every expected counter
-/// before the stream runs.
+/// malformed requests and which valid requests get their apply
+/// sabotaged. A pure function of the stream length, so the harness can
+/// compute every expected counter before the stream runs.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
     /// Stream positions carrying a malformed request, with its kind.
@@ -87,16 +82,12 @@ pub struct FaultPlan {
     /// Stream positions whose (valid) request gets an induced apply
     /// panic.
     pub sabotaged: Vec<u64>,
-    /// `(publish idx, leading attempts that fail)`.
-    pub publish_failures: Vec<(u64, u32)>,
 }
 
 impl FaultPlan {
     /// The standard plan over a `deltas`-long stream: a malformed
-    /// request every 37 positions (kinds cycling), an induced panic
-    /// every 53 positions (where not already malformed), publish 1
-    /// failing twice (retried to success) and publish 3 failing every
-    /// attempt (abandoned).
+    /// request every 37 positions (kinds cycling) and an induced panic
+    /// every 53 positions (where not already malformed).
     pub fn standard(deltas: usize) -> Self {
         let mut malformed = Vec::new();
         let mut sabotaged = Vec::new();
@@ -110,54 +101,17 @@ impl FaultPlan {
         Self {
             malformed,
             sabotaged,
-            publish_failures: vec![(1, 2), (3, FAULT_MAX_PUBLISH_ATTEMPTS)],
-        }
-    }
-
-    /// Publish retries the plan will cause, given the ingestor's
-    /// attempt budget.
-    pub fn expected_retries(&self, max_attempts: u32) -> u64 {
-        self.publish_failures
-            .iter()
-            .map(|&(_, fails)| u64::from(fails.min(max_attempts.saturating_sub(1))))
-            .sum()
-    }
-
-    /// Publishes the plan abandons outright.
-    pub fn expected_abandoned(&self, max_attempts: u32) -> u64 {
-        self.publish_failures
-            .iter()
-            .filter(|&&(_, fails)| fails >= max_attempts)
-            .count() as u64
-    }
-}
-
-/// [`FaultInjector`] driving the ingestor from a [`FaultPlan`].
-struct PlanInjector {
-    sabotaged: std::collections::HashSet<u64>,
-    publish_failures: std::collections::HashMap<u64, u32>,
-}
-
-impl PlanInjector {
-    fn new(plan: &FaultPlan) -> Self {
-        Self {
-            sabotaged: plan.sabotaged.iter().copied().collect(),
-            publish_failures: plan.publish_failures.iter().copied().collect(),
         }
     }
 }
+
+/// [`FaultInjector`] driving the ingestor from a [`FaultPlan`]: the
+/// positions whose apply is sabotaged.
+struct PlanInjector(std::collections::HashSet<u64>);
 
 impl FaultInjector for PlanInjector {
     fn sabotage_apply(&mut self, seq: u64) -> bool {
-        self.sabotaged.contains(&seq)
-    }
-    fn fail_publish(&mut self, publish_idx: u64, attempt: u32) -> bool {
-        attempt
-            < self
-                .publish_failures
-                .get(&publish_idx)
-                .copied()
-                .unwrap_or(0)
+        self.0.contains(&seq)
     }
 }
 
@@ -216,7 +170,7 @@ pub struct FaultStreamOutcome {
     pub churn_lookups: u64,
     /// Reader lookup throughput under churn (0 when the probe is off).
     pub churn_qps: f64,
-    /// Served snapshot version at shutdown (== successful publishes).
+    /// Served snapshot version at shutdown (== publishes).
     pub served_version: u64,
 }
 
@@ -224,17 +178,16 @@ pub struct FaultStreamOutcome {
 /// sizes through a [`DeltaIngestor`] under [`FaultPlan::standard`].
 ///
 /// With `verify`, every robustness assertion runs: exact quarantine
-/// positions + typed reasons, exact retry/abandon counters, monotone
-/// reader versions, and the accepted-deltas-only oracle (a fresh
-/// session on a corpus rebuilt from the shadow must observe exactly
-/// what the streamed session observes). With `qps_probe`, a concurrent
+/// positions + typed reasons, monotone reader versions, and the
+/// accepted-deltas-only oracle (a fresh session on a corpus rebuilt
+/// from the shadow must observe exactly what the streamed session
+/// observes). With `qps_probe`, a concurrent
 /// reader hammers the served snapshot throughout and its throughput is
 /// recorded.
 ///
 /// The session/corpus outcome is a pure function of `(tables, deltas)`
-/// — the reader, the publish failures and `verify` never influence it
-/// — which is what makes the committed post-stream edge dump
-/// reproducible.
+/// — the reader and `verify` never influence it — which is what makes
+/// the committed post-stream edge dump reproducible.
 pub fn run_fault_stream(
     tables: usize,
     deltas: usize,
@@ -279,9 +232,6 @@ pub fn run_fault_stream(
     let service = Arc::new(MappingService::new());
     let cfg = IngestorConfig {
         publish_every: FAULT_PUBLISH_EVERY,
-        max_publish_attempts: FAULT_MAX_PUBLISH_ATTEMPTS,
-        retry_base: Duration::from_micros(200),
-        retry_cap: Duration::from_millis(2),
         ..IngestorConfig::default()
     };
     let ingestor = DeltaIngestor::spawn(
@@ -290,7 +240,7 @@ pub fn run_fault_stream(
         &initial_keys,
         Arc::clone(&service),
         cfg,
-        Box::new(PlanInjector::new(&plan)),
+        Box::new(PlanInjector(plan.sabotaged.iter().copied().collect())),
     )
     .expect("ingestor config is valid");
 
@@ -490,16 +440,8 @@ pub fn run_fault_stream(
         );
         assert_eq!(stats.accepted + stats.rejected, stats.submitted);
         assert_eq!(
-            stats.publish_retries,
-            plan.expected_retries(FAULT_MAX_PUBLISH_ATTEMPTS)
-        );
-        assert_eq!(
-            stats.publishes_abandoned,
-            plan.expected_abandoned(FAULT_MAX_PUBLISH_ATTEMPTS)
-        );
-        assert_eq!(
             served_version, stats.publishes,
-            "only successful publishes may install versions"
+            "every publish installs exactly one version"
         );
 
         // Quarantine transparency: exact positions, exact typed reasons.
@@ -604,9 +546,8 @@ mod tests {
     use super::*;
 
     /// A short fully-verified fault stream: covers all four malformed
-    /// kinds (positions 7, 44, 81, 118), several induced panics, one
-    /// retried and one abandoned publish, plus the accepted-only
-    /// oracle and the QPS probe.
+    /// kinds (positions 7, 44, 81, 118), several induced panics, plus
+    /// the accepted-only oracle and the QPS probe.
     #[test]
     fn short_fault_stream_holds_every_contract() {
         let out = run_fault_stream(24, 160, true, true);
@@ -615,8 +556,6 @@ mod tests {
         assert!(out.sabotaged >= 2);
         assert_eq!(out.stats.rejected, (out.malformed + out.sabotaged) as u64);
         assert!(out.stats.publishes >= 1);
-        assert_eq!(out.stats.publish_retries, 2 + 2);
-        assert_eq!(out.stats.publishes_abandoned, 1);
         assert!(out.churn_lookups > 0, "reader made no lookups under churn");
     }
 

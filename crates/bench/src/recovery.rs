@@ -33,7 +33,7 @@ use mapsynth_serve::{
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::StreamRng;
 
@@ -142,8 +142,6 @@ fn pipe_cfg() -> PipelineConfig {
 fn ing_cfg() -> IngestorConfig {
     IngestorConfig {
         publish_every: RECOVERY_PUBLISH_EVERY,
-        retry_base: Duration::from_micros(200),
-        retry_cap: Duration::from_millis(2),
         ..IngestorConfig::default()
     }
 }

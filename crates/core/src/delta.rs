@@ -1275,6 +1275,48 @@ mod tests {
         ));
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes — raw, or a valid record with bytes
+        /// overwritten at random positions — decode to a typed error
+        /// or to a delta that re-encodes to exactly those bytes; no
+        /// input panics.
+        #[test]
+        fn prop_portable_delta_decode_is_total(
+            raw in proptest::collection::vec(0u8..=255, 0..256),
+            edits in proptest::collection::vec((0usize..4096, 0u8..=255), 0..4),
+            mutate_valid in 0u8..2,
+        ) {
+            let bytes = if mutate_valid == 1 {
+                let mut bytes = PortableDelta {
+                    add: vec![PortableTable {
+                        key: 3,
+                        domain: "d.org".into(),
+                        columns: vec![(Some("h".into()), vec!["x".into(), "y".into()])],
+                    }],
+                    remove: vec![9],
+                    patches: vec![PortablePatch {
+                        key: 3,
+                        deleted: vec![vec!["x".into()]],
+                        inserted: vec![],
+                    }],
+                }
+                .encode();
+                for &(at, b) in &edits {
+                    let at = at % bytes.len();
+                    bytes[at] = b;
+                }
+                bytes
+            } else {
+                raw
+            };
+            if let Ok(delta) = PortableDelta::decode(&bytes) {
+                proptest::prop_assert_eq!(delta.encode(), bytes);
+            }
+        }
+    }
+
     /// A corpus of two conflicting standards (ISO vs IOC codes) spread
     /// over several domains, with typo'd spellings so approximate
     /// matching has real work.

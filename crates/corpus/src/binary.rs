@@ -1058,6 +1058,51 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    proptest::proptest! {
+        /// Arbitrary bytes behind `FrameReader`: raw, after a valid
+        /// header, or after a valid header and one whole frame. Opening
+        /// and draining `next_frame` ends in a typed error or a clean
+        /// tail; no input panics or reads past the file.
+        #[test]
+        fn prop_frame_reader_is_total(
+            body in proptest::collection::vec(0u8..=255, 0..300),
+            prefix in 0u8..3,
+        ) {
+            let dir = tmp_dir("frame-prop");
+            let path = dir.join("random.msf");
+            let mut bytes = Vec::new();
+            if prefix > 0 {
+                write_framed(&path, &[], false);
+                bytes = std::fs::read(&path).unwrap();
+            }
+            if prefix > 1 {
+                bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+                bytes.extend_from_slice(&body);
+                bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+            }
+            bytes.extend_from_slice(&body);
+            std::fs::write(&path, &bytes).unwrap();
+            let outcome = match FrameReader::open(&path, TK) {
+                Err(e) => Err(e),
+                Ok(mut r) => {
+                    let drained = loop {
+                        match r.next_frame() {
+                            Ok(Some(_)) => {}
+                            Ok(None) => break Ok(r.tail()),
+                            Err(e) => break Err(e),
+                        }
+                    };
+                    proptest::prop_assert!(r.valid_len() <= bytes.len() as u64);
+                    drained
+                }
+            };
+            if prefix == 0 && !bytes.starts_with(&FRAME_MAGIC) {
+                proptest::prop_assert!(outcome.is_err(), "no magic, yet read as {:?}", outcome);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
     fn wire_round_trips_and_typed_failures() {
         use super::wire::*;

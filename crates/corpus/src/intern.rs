@@ -14,7 +14,6 @@ use std::fmt;
 /// [`Interner`] (and thus the [`Corpus`](crate::Corpus)) that produced
 /// them.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Sym(pub u32);
 
 impl Sym {

@@ -11,12 +11,10 @@ use std::fmt;
 
 /// Identifier of a table within its corpus.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TableId(pub u32);
 
 /// Identifier of a provenance domain (web site / spreadsheet share).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DomainId(pub u32);
 
 /// A single table column: an optional header plus the cell values in

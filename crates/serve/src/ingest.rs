@@ -9,8 +9,9 @@
 //! owns the [`SynthesisSession`] + [`Corpus`] and drives them
 //! transactionally:
 //!
-//! 1. **validate** — keys resolve against the live table set, row
-//!    patches are checked non-mutating ([`Corpus::check_row_patch`]);
+//! 1. **validate** — keys resolve against the live table set, added
+//!    tables' columns share one length, row patches are checked
+//!    non-mutating ([`Corpus::check_row_patch`]);
 //! 2. **apply** — the corpus is evolved, then
 //!    [`SynthesisSession::apply_delta`] runs all-or-nothing (typed
 //!    [`DeltaError`] + `catch_unwind` containment). On rejection the
@@ -18,11 +19,9 @@
 //!    patches inverted in reverse order) so corpus and session stay
 //!    in lockstep;
 //! 3. **publish** — every `publish_every` accepted deltas the worker
-//!    synthesizes and calls
-//!    [`MappingService::publish_delta`], retrying transient publish
-//!    failures with exponential backoff and **abandoning** (not
-//!    crashing) after `max_publish_attempts` — the accepted deltas
-//!    stay in the session, so the next publish carries them;
+//!    synthesizes and calls [`MappingService::publish_delta`]. The
+//!    snapshot is derived in memory from the session, so publishing
+//!    cannot fail;
 //! 4. **quarantine** — every rejected delta is recorded with its
 //!    stream position, typed reason and the original request, and is
 //!    observable while the stream runs
@@ -31,8 +30,8 @@
 //!
 //! Readers are never involved: they keep cloning the last good
 //! snapshot from the shared [`MappingService`] and sustain lookups
-//! through malformed deltas, induced apply panics and publish
-//! failures alike — the service degrades to *stale-until-next-publish*,
+//! through malformed deltas, induced apply panics and persistence
+//! errors alike — the service degrades to *stale-until-next-publish*,
 //! never to torn or absent.
 //!
 //! Determinism: the worker applies deltas in submission order on one
@@ -55,7 +54,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
 
 /// A table shipped to the ingestor: a caller-chosen stable key (the
 /// ingestor's table ids shift across compactions; keys never do), the
@@ -86,6 +84,11 @@ pub enum IngestError {
         /// The colliding key.
         key: u64,
     },
+    /// An `add` whose columns do not all have the same length.
+    RaggedTable {
+        /// The added table's key.
+        key: u64,
+    },
     /// A row patch the corpus cannot apply.
     Patch(RowPatchError),
     /// The session rejected the delta (including contained apply
@@ -98,6 +101,9 @@ impl fmt::Display for IngestError {
         match self {
             IngestError::UnknownKey { key } => write!(f, "key {key} names no live table"),
             IngestError::DuplicateKey { key } => write!(f, "key {key} is already live"),
+            IngestError::RaggedTable { key } => {
+                write!(f, "table {key} has columns of unequal length")
+            }
             IngestError::Patch(e) => write!(f, "corpus rejected patch: {e}"),
             IngestError::Delta(e) => write!(f, "session rejected delta: {e}"),
         }
@@ -139,13 +145,8 @@ pub struct IngestStats {
     pub rejected: u64,
     /// Quarantine entries currently held (not yet drained).
     pub quarantined: u64,
-    /// Successful snapshot publishes.
+    /// Snapshot publishes.
     pub publishes: u64,
-    /// Publish attempts retried after a transient failure.
-    pub publish_retries: u64,
-    /// Publishes abandoned after `max_publish_attempts` failures (the
-    /// served snapshot stayed on the last good version).
-    pub publishes_abandoned: u64,
     /// Mid-stream compaction passes.
     pub compactions: u64,
     /// Quarantine entries dropped (oldest first) to hold
@@ -162,8 +163,8 @@ pub struct IngestStats {
 
 /// Deterministic fault plan hook: the harness decides, per stream
 /// position, whether to sabotage the apply (induced panic past
-/// validation) or fail a publish attempt. The default methods inject
-/// nothing, so production code passes [`NoFaults`].
+/// validation). The default method injects nothing, so production code
+/// passes [`NoFaults`].
 pub trait FaultInjector: Send {
     /// Return `true` to arm an induced panic inside this delta's
     /// `apply_delta` (fired after the first artifact mutation —
@@ -171,15 +172,6 @@ pub trait FaultInjector: Send {
     /// 0-based stream position.
     fn sabotage_apply(&mut self, seq: u64) -> bool {
         let _ = seq;
-        false
-    }
-
-    /// Return `true` to simulate a transient failure of publish
-    /// `publish_idx` (0-based), attempt `attempt` (0-based). The
-    /// worker retries with exponential backoff up to
-    /// `max_publish_attempts`.
-    fn fail_publish(&mut self, publish_idx: u64, attempt: u32) -> bool {
-        let _ = (publish_idx, attempt);
         false
     }
 }
@@ -199,13 +191,6 @@ pub struct IngestorConfig {
     /// Publish after this many accepted deltas (and once more at
     /// shutdown for the tail).
     pub publish_every: usize,
-    /// Publish attempts before abandoning (≥ 1).
-    pub max_publish_attempts: u32,
-    /// Backoff before retry `n` is `retry_base * 2^n`, capped at
-    /// `retry_cap`.
-    pub retry_base: Duration,
-    /// Upper bound on a single backoff sleep.
-    pub retry_cap: Duration,
     /// Resolver used for the published mappings.
     pub resolver: Resolver,
     /// Most quarantine entries held at once. When a rejection would
@@ -221,9 +206,6 @@ impl Default for IngestorConfig {
         Self {
             queue_depth: 64,
             publish_every: 8,
-            max_publish_attempts: 4,
-            retry_base: Duration::from_millis(1),
-            retry_cap: Duration::from_millis(16),
             resolver: Resolver::Algorithm4,
             quarantine_cap: 1024,
         }
@@ -239,17 +221,6 @@ pub enum IngestorConfigError {
     ZeroQueueDepth,
     /// `publish_every == 0`: the publish cadence would never trigger.
     ZeroPublishEvery,
-    /// `max_publish_attempts == 0`: every publish would be abandoned
-    /// before its first attempt.
-    ZeroPublishAttempts,
-    /// `retry_cap < retry_base`: the first backoff sleep would already
-    /// exceed the configured cap.
-    RetryCapBelowBase {
-        /// The configured base.
-        base: Duration,
-        /// The configured (smaller) cap.
-        cap: Duration,
-    },
 }
 
 impl fmt::Display for IngestorConfigError {
@@ -257,12 +228,6 @@ impl fmt::Display for IngestorConfigError {
         match self {
             IngestorConfigError::ZeroQueueDepth => write!(f, "queue_depth must be nonzero"),
             IngestorConfigError::ZeroPublishEvery => write!(f, "publish_every must be nonzero"),
-            IngestorConfigError::ZeroPublishAttempts => {
-                write!(f, "max_publish_attempts must be nonzero")
-            }
-            IngestorConfigError::RetryCapBelowBase { base, cap } => {
-                write!(f, "retry_cap {cap:?} is below retry_base {base:?}")
-            }
         }
     }
 }
@@ -306,15 +271,6 @@ impl IngestorConfig {
         if self.publish_every == 0 {
             return Err(IngestorConfigError::ZeroPublishEvery);
         }
-        if self.max_publish_attempts == 0 {
-            return Err(IngestorConfigError::ZeroPublishAttempts);
-        }
-        if self.retry_cap < self.retry_base {
-            return Err(IngestorConfigError::RetryCapBelowBase {
-                base: self.retry_base,
-                cap: self.retry_cap,
-            });
-        }
         Ok(())
     }
 }
@@ -342,8 +298,6 @@ struct SharedState {
     accepted: AtomicU64,
     rejected: AtomicU64,
     publishes: AtomicU64,
-    publish_retries: AtomicU64,
-    publishes_abandoned: AtomicU64,
     compactions: AtomicU64,
     quarantine_evicted: AtomicU64,
     wal_records: AtomicU64,
@@ -363,12 +317,10 @@ impl SharedState {
     fn stats(&self) -> IngestStats {
         IngestStats {
             submitted: self.submitted.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
+            accepted: self.accepted.load(Ordering::Acquire),
             rejected: self.rejected.load(Ordering::Relaxed),
             quarantined: self.quarantine_lock().len() as u64,
             publishes: self.publishes.load(Ordering::Relaxed),
-            publish_retries: self.publish_retries.load(Ordering::Relaxed),
-            publishes_abandoned: self.publishes_abandoned.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
             quarantine_evicted: self.quarantine_evicted.load(Ordering::Relaxed),
             wal_records: self.wal_records.load(Ordering::Relaxed),
@@ -478,7 +430,6 @@ impl DeltaIngestor {
             injector,
             persist,
             seq: 0,
-            publish_idx: 0,
             accepted_since_publish: 0,
         };
         let handle = thread::Builder::new()
@@ -558,7 +509,6 @@ struct Worker {
     injector: Box<dyn FaultInjector>,
     persist: Option<Persistence>,
     seq: u64,
-    publish_idx: u64,
     accepted_since_publish: usize,
 }
 
@@ -571,7 +521,7 @@ impl Worker {
             }
         }
         if self.accepted_since_publish > 0 || self.shared.publishes.load(Ordering::Relaxed) == 0 {
-            self.publish_with_retry();
+            self.publish();
         }
         // Deliberately NO persistence finalization here: the on-disk
         // state a graceful shutdown leaves behind is exactly the state
@@ -593,10 +543,11 @@ impl Worker {
             sabotage,
         ) {
             Ok(()) => {
-                self.shared.accepted.fetch_add(1, Ordering::Relaxed);
                 self.accepted_since_publish += 1;
                 // Durability before visibility, best-effort: the
-                // accepted delta is fsynced into the WAL before the
+                // accepted delta is fsynced into the WAL before it is
+                // counted `accepted` (so `wal_records + persist_errors
+                // >= accepted` on every `stats()` read) and before the
                 // publish cadence can pick it up. On an append failure
                 // the WAL repairs itself (the torn frame is physically
                 // removed — see `DeltaWal::append`) but the delta
@@ -614,11 +565,15 @@ impl Worker {
                         }
                     }
                 }
+                // Release pairs with the Acquire load in `stats()`: a
+                // reader that sees this count also sees the WAL
+                // counters bumped above.
+                self.shared.accepted.fetch_add(1, Ordering::Release);
                 if self.session.compaction_due() {
                     self.compact();
                 }
                 if self.accepted_since_publish >= self.cfg.publish_every {
-                    self.publish_with_retry();
+                    self.publish();
                 }
             }
             Err(error) => {
@@ -649,50 +604,23 @@ impl Worker {
         self.shared.compactions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Synthesize once, then attempt the publish with exponential
-    /// backoff on simulated-transient failures. Abandoning leaves the
-    /// served snapshot on the last good version; the accepted deltas
-    /// stay in the session and ride the next publish.
-    fn publish_with_retry(&mut self) {
+    /// Synthesize, install the result as the served snapshot, and roll
+    /// the archive forward on its cadence: the live corpus and the
+    /// just-installed version, covering every WAL record so far —
+    /// older generations and fully covered WAL segments are then
+    /// prunable.
+    fn publish(&mut self) {
         let run = self.session.synthesize(&self.synthesis, self.cfg.resolver);
-        let idx = self.publish_idx;
-        self.publish_idx += 1;
-        let mut attempt: u32 = 0;
-        loop {
-            if self.injector.fail_publish(idx, attempt) {
-                attempt += 1;
-                if attempt >= self.cfg.max_publish_attempts {
-                    self.shared
-                        .publishes_abandoned
-                        .fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                self.shared.publish_retries.fetch_add(1, Ordering::Relaxed);
-                let exp = attempt.saturating_sub(1).min(16);
-                let backoff = self
-                    .cfg
-                    .retry_base
-                    .saturating_mul(1u32 << exp)
-                    .min(self.cfg.retry_cap);
-                thread::sleep(backoff);
-                continue;
-            }
-            self.service.publish_delta(&run.mappings);
-            self.shared.publishes.fetch_add(1, Ordering::Relaxed);
-            self.accepted_since_publish = 0;
-            // Roll the archive forward on its cadence: the live corpus
-            // and the just-installed version, covering every WAL record
-            // so far — older generations and fully covered WAL
-            // segments are then prunable.
-            if let Some(p) = &mut self.persist {
-                if p.archive_due() {
-                    let tables = crate::persist::portable_tables(&self.corpus, &self.key_of_table);
-                    if p.write_archive(&self.service.snapshot(), &tables).is_err() {
-                        self.shared.persist_errors.fetch_add(1, Ordering::Relaxed);
-                    }
+        self.service.publish_delta(&run.mappings);
+        self.shared.publishes.fetch_add(1, Ordering::Relaxed);
+        self.accepted_since_publish = 0;
+        if let Some(p) = &mut self.persist {
+            if p.archive_due() {
+                let tables = crate::persist::portable_tables(&self.corpus, &self.key_of_table);
+                if p.write_archive(&self.service.snapshot(), &tables).is_err() {
+                    self.shared.persist_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            return;
         }
     }
 }
@@ -738,6 +666,10 @@ pub(crate) fn apply_request_to(
     for t in &request.add {
         if key_of_table.contains_key(&t.key) || !fresh.insert(t.key) {
             return Err(IngestError::DuplicateKey { key: t.key });
+        }
+        let rows = t.columns.first().map_or(0, |(_, vs)| vs.len());
+        if t.columns.iter().any(|(_, vs)| vs.len() != rows) {
+            return Err(IngestError::RaggedTable { key: t.key });
         }
     }
 

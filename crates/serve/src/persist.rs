@@ -936,7 +936,6 @@ pub fn recover(
 mod tests {
     use super::*;
     use crate::ingest::{DeltaIngestor, IngestorConfig, NoFaults, TableSpec};
-    use std::time::Duration;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -997,9 +996,6 @@ mod tests {
         IngestorConfig {
             queue_depth: 8,
             publish_every: 2,
-            max_publish_attempts: 2,
-            retry_base: Duration::from_micros(100),
-            retry_cap: Duration::from_micros(200),
             resolver: Resolver::Algorithm4,
             quarantine_cap: 64,
         }

@@ -1,7 +1,6 @@
 //! Fault-tolerant ingestion end to end: the background worker must
 //! apply clean deltas transactionally, quarantine every poisoned one
-//! with a typed reason, survive induced apply panics, retry/abandon
-//! failed publishes without ever serving a torn snapshot — and the
+//! with a typed reason and survive induced apply panics — and the
 //! post-stream session must be bit-identical (observable synthesis
 //! output) to a fresh session built from only the accepted deltas.
 
@@ -14,7 +13,7 @@ use mapsynth_serve::ingest::{
     NoFaults, PatchSpec, TableSpec,
 };
 use mapsynth_serve::MappingService;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,14 +53,6 @@ fn fixture(n: usize) -> (Corpus, SynthesisSession, Vec<u64>) {
     session.prepare(&corpus);
     let keys: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
     (corpus, session, keys)
-}
-
-fn fast_cfg() -> IngestorConfig {
-    IngestorConfig {
-        retry_base: Duration::from_micros(100),
-        retry_cap: Duration::from_micros(500),
-        ..IngestorConfig::default()
-    }
 }
 
 fn add_table(key: u64, domain: &str, rows: &[(&str, &str)]) -> TableSpec {
@@ -139,26 +130,13 @@ fn wait_until(ing: &DeltaIngestor, pred: impl Fn(mapsynth_serve::IngestStats) ->
     }
 }
 
-/// Scripted deterministic fault plan for tests.
-#[derive(Default)]
-struct ScriptedFaults {
-    /// Stream positions whose apply is sabotaged with an induced panic.
-    sabotage: HashSet<u64>,
-    /// publish idx → number of leading attempts that fail.
-    publish_failures: HashMap<u64, u32>,
-}
+/// Scripted deterministic fault plan for tests: the stream positions
+/// whose apply is sabotaged with an induced panic.
+struct ScriptedFaults(HashSet<u64>);
 
 impl FaultInjector for ScriptedFaults {
     fn sabotage_apply(&mut self, seq: u64) -> bool {
-        self.sabotage.contains(&seq)
-    }
-    fn fail_publish(&mut self, publish_idx: u64, attempt: u32) -> bool {
-        attempt
-            < self
-                .publish_failures
-                .get(&publish_idx)
-                .copied()
-                .unwrap_or(0)
+        self.0.contains(&seq)
     }
 }
 
@@ -168,7 +146,7 @@ fn clean_stream_applies_compacts_and_publishes() {
     let service = Arc::new(MappingService::new());
     let cfg = IngestorConfig {
         publish_every: 2,
-        ..fast_cfg()
+        ..IngestorConfig::default()
     };
     let ing = DeltaIngestor::spawn(
         session,
@@ -225,7 +203,7 @@ fn poisoned_deltas_are_quarantined_and_rolled_back() {
         corpus,
         &keys,
         Arc::clone(&service),
-        fast_cfg(),
+        IngestorConfig::default(),
         Box::new(NoFaults),
     )
     .expect("ingestor config is valid");
@@ -267,23 +245,32 @@ fn poisoned_deltas_are_quarantined_and_rolled_back() {
         patches: vec![patch(101, &[], &[])],
         ..Default::default()
     });
-    // seq 6: good add — the stream continues past every rejection.
+    // seq 6: an add with ragged columns, bundled with a valid patch —
+    // refused before the corpus is touched, not a worker panic.
+    let mut ragged = add_table(301, "ragged.org", &ROWS);
+    ragged.columns[1].1.pop();
+    ing.submit(DeltaRequest {
+        add: vec![ragged],
+        patches: vec![patch(101, &[("Albania", "ALB")], &[("Albania", "ALX")])],
+        ..Default::default()
+    });
+    // seq 7: good add — the stream continues past every rejection.
     ing.submit(DeltaRequest {
         add: vec![add_table(400, "tail.org", &ROWS)],
         ..Default::default()
     });
 
     let outcome = ing.shutdown();
-    assert_eq!(outcome.stats.submitted, 7);
+    assert_eq!(outcome.stats.submitted, 8);
     assert_eq!(outcome.stats.accepted, 2);
-    assert_eq!(outcome.stats.rejected, 5);
-    assert_eq!(outcome.stats.quarantined, 5);
+    assert_eq!(outcome.stats.rejected, 6);
+    assert_eq!(outcome.stats.quarantined, 6);
 
     let q = &outcome.quarantine;
-    assert_eq!(q.len(), 5);
+    assert_eq!(q.len(), 6);
     assert_eq!(
         q.iter().map(|e| e.seq).collect::<Vec<_>>(),
-        vec![1, 2, 3, 4, 5],
+        vec![1, 2, 3, 4, 5, 6],
         "quarantine records exact stream positions"
     );
     assert_eq!(q[0].error, IngestError::UnknownKey { key: 999 });
@@ -312,31 +299,40 @@ fn poisoned_deltas_are_quarantined_and_rolled_back() {
         "got {:?}",
         q[4].error
     );
+    assert_eq!(q[5].error, IngestError::RaggedTable { key: 301 });
     // The poisoned request rides along for repair/replay.
     assert_eq!(q[2].request.add.len(), 1);
     assert_eq!(q[2].request.patches.len(), 2);
 
     // Rollback proof: the surviving state is exactly the accepted
-    // deltas (seq 0 and seq 6) — no half-applied adds or patches.
+    // deltas (seq 0 and seq 7) — no half-applied adds or patches.
     assert_matches_fresh(&outcome.session, &outcome.corpus);
     let live = outcome.session.live_corpus(&outcome.corpus);
     assert_eq!(live.len(), 5, "4 initial tables + the one accepted add");
+    let cells: HashSet<&str> = live
+        .tables
+        .iter()
+        .flat_map(|t| &t.columns)
+        .flat_map(|c| &c.values)
+        .map(|&v| live.str_of(v))
+        .collect();
+    assert!(
+        !cells.contains("ALX"),
+        "the ragged delta's bundled patch leaked into the corpus"
+    );
 }
 
 #[test]
 fn induced_apply_panics_are_contained_and_replayable() {
     let (corpus, session, keys) = fixture(4);
     let service = Arc::new(MappingService::new());
-    let faults = ScriptedFaults {
-        sabotage: [1u64, 3].into_iter().collect(),
-        ..Default::default()
-    };
+    let faults = ScriptedFaults([1u64, 3].into_iter().collect());
     let ing = DeltaIngestor::spawn(
         session,
         corpus,
         &keys,
         Arc::clone(&service),
-        fast_cfg(),
+        IngestorConfig::default(),
         Box::new(faults),
     )
     .expect("ingestor config is valid");
@@ -377,68 +373,12 @@ fn induced_apply_panics_are_contained_and_replayable() {
 }
 
 #[test]
-fn publish_failures_retry_then_abandon_without_torn_serving() {
-    let (corpus, session, keys) = fixture(4);
-    let service = Arc::new(MappingService::new());
-    let faults = ScriptedFaults {
-        // Publish 0: one transient failure, then success on retry.
-        // Publish 1: fails all 3 attempts — abandoned.
-        publish_failures: [(0u64, 1u32), (1, 3)].into_iter().collect(),
-        ..Default::default()
-    };
-    let cfg = IngestorConfig {
-        publish_every: 1,
-        max_publish_attempts: 3,
-        ..fast_cfg()
-    };
-    let ing = DeltaIngestor::spawn(
-        session,
-        corpus,
-        &keys,
-        Arc::clone(&service),
-        cfg,
-        Box::new(faults),
-    )
-    .expect("ingestor config is valid");
-
-    ing.submit(DeltaRequest {
-        add: vec![add_table(600, "first.org", &ROWS)],
-        ..Default::default()
-    });
-    wait_until(&ing, |s| s.publishes == 1);
-    assert_eq!(ing.stats().publish_retries, 1);
-    let good_version = service.version();
-    assert_eq!(good_version, 1);
-    let good_snapshot = service.snapshot();
-
-    ing.submit(DeltaRequest {
-        add: vec![add_table(601, "second.org", &ROWS)],
-        ..Default::default()
-    });
-    wait_until(&ing, |s| s.publishes_abandoned == 1);
-    // Graceful degradation: the abandoned publish left the served
-    // snapshot on the last good version — stale, never torn/absent.
-    assert_eq!(service.version(), good_version);
-    assert!(Arc::ptr_eq(&good_snapshot, &service.snapshot()));
-
-    // The accepted delta was not lost: the shutdown tail publish
-    // (publish idx 2, unsabotaged) carries the cumulative state.
-    let outcome = ing.shutdown();
-    assert_eq!(outcome.stats.accepted, 2);
-    assert_eq!(outcome.stats.publishes, 2);
-    assert_eq!(outcome.stats.publish_retries, 3);
-    assert_eq!(outcome.stats.publishes_abandoned, 1);
-    assert_eq!(service.version(), 2);
-    assert_matches_fresh(&outcome.session, &outcome.corpus);
-}
-
-#[test]
 fn quarantine_cap_evicts_oldest_and_counts() {
     let (corpus, session, keys) = fixture(2);
     let service = Arc::new(MappingService::new());
     let cfg = IngestorConfig {
         quarantine_cap: 2,
-        ..fast_cfg()
+        ..IngestorConfig::default()
     };
     let ing = DeltaIngestor::spawn(
         session,
@@ -476,34 +416,16 @@ fn invalid_configs_are_refused_at_spawn() {
         (
             IngestorConfig {
                 queue_depth: 0,
-                ..fast_cfg()
+                ..IngestorConfig::default()
             },
             IngestorConfigError::ZeroQueueDepth,
         ),
         (
             IngestorConfig {
                 publish_every: 0,
-                ..fast_cfg()
+                ..IngestorConfig::default()
             },
             IngestorConfigError::ZeroPublishEvery,
-        ),
-        (
-            IngestorConfig {
-                max_publish_attempts: 0,
-                ..fast_cfg()
-            },
-            IngestorConfigError::ZeroPublishAttempts,
-        ),
-        (
-            IngestorConfig {
-                retry_base: Duration::from_millis(10),
-                retry_cap: Duration::from_millis(1),
-                ..fast_cfg()
-            },
-            IngestorConfigError::RetryCapBelowBase {
-                base: Duration::from_millis(10),
-                cap: Duration::from_millis(1),
-            },
         ),
     ];
     for (cfg, expected) in cases {

@@ -18,7 +18,6 @@ use mapsynth_serve::{recover, MappingService, PersistConfig, PersistError, Persi
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 const ROWS: [(&str, &str); 6] = [
     ("Afghanistan", "AFG"),
@@ -104,8 +103,6 @@ fn stream() -> Vec<DeltaRequest> {
 fn ing_cfg() -> IngestorConfig {
     IngestorConfig {
         publish_every: 2,
-        retry_base: Duration::from_micros(100),
-        retry_cap: Duration::from_micros(500),
         ..IngestorConfig::default()
     }
 }
@@ -302,6 +299,49 @@ fn kill_point_sweep_recovers_identically() {
         );
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// Durability before acknowledgement: a client polling `stats()`
+/// while a persisted stream runs never sees a delta counted `accepted`
+/// before its WAL append has finished (fsynced, or counted as a
+/// persistence error).
+#[test]
+fn accepted_never_runs_ahead_of_the_wal() {
+    let dir = tmp_dir("ack-order");
+    let (corpus, session, keys) = fixture(4);
+    let persistence = Persistence::create(PersistConfig::new(&dir), 0).expect("init persistence");
+    let ing = DeltaIngestor::spawn_with_persistence(
+        session,
+        corpus,
+        &keys,
+        Arc::new(MappingService::new()),
+        ing_cfg(),
+        Box::new(NoFaults),
+        Some(persistence),
+    )
+    .expect("spawn persisted ingestor");
+    let deltas = stream();
+    let n = deltas.len() as u64;
+    for delta in deltas {
+        ing.submit(delta);
+    }
+    let mut reads = 0u64;
+    loop {
+        let s = ing.stats();
+        reads += 1;
+        assert!(
+            s.wal_records + s.persist_errors >= s.accepted,
+            "read {reads}: accepted ahead of the WAL: {s:?}"
+        );
+        if s.accepted + s.rejected == n {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    let outcome = ing.shutdown();
+    assert_eq!(outcome.stats.accepted, n);
+    assert_eq!(outcome.stats.wal_records, n);
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// A torn final record — the tail of the last WAL segment cut
