@@ -128,6 +128,83 @@ impl CorpusDelta {
         let removed: HashSet<TableId> = self.removed.iter().copied().collect();
         corpus.subset(|tid| !removed.contains(&tid))
     }
+
+    /// Full id-level validation of this delta against a live mask over
+    /// the corpus as it stood before the delta (`alive[t]`: table `t`
+    /// is live; `alive.len()` is the pre-delta table count) and the
+    /// post-delta `corpus` (added tables pushed, row patches applied).
+    /// Pure: nothing is touched. [`SynthesisSession::apply_delta`]
+    /// runs it against the session's own mask, and corpus-only replay
+    /// (`mapsynth-serve`'s recovery) against the mask it keeps, so both
+    /// accept and reject exactly the same deltas.
+    pub fn validate(&self, corpus: &Corpus, alive: &[bool]) -> Result<(), DeltaError> {
+        let old_len = alive.len();
+        let mut seen = HashSet::new();
+        for &tid in &self.removed {
+            if (tid.0 as usize) >= old_len {
+                return Err(DeltaError::UnknownTable { id: tid });
+            }
+            if !alive[tid.0 as usize] {
+                return Err(DeltaError::RemovedTableNotLive { id: tid });
+            }
+            if !seen.insert(tid) {
+                return Err(DeltaError::DuplicateRemoval { id: tid });
+            }
+        }
+        if corpus.len() != old_len + self.added.len() {
+            return Err(DeltaError::FingerprintMismatch {
+                expected: old_len + self.added.len(),
+                got: corpus.len(),
+            });
+        }
+        for (k, &tid) in self.added.iter().enumerate() {
+            if tid.0 as usize != old_len + k {
+                return Err(DeltaError::AddedIdOutOfOrder {
+                    id: tid,
+                    expected: (old_len + k) as u32,
+                });
+            }
+        }
+        let mut patched = HashSet::new();
+        for p in &self.patches {
+            let tid = p.table;
+            if (tid.0 as usize) >= old_len {
+                return Err(DeltaError::UnknownTable { id: tid });
+            }
+            if !alive[tid.0 as usize] {
+                return Err(DeltaError::PatchToRemovedTable { id: tid });
+            }
+            if seen.contains(&tid) {
+                return Err(DeltaError::PatchAndRemoveSameDelta { id: tid });
+            }
+            if !patched.insert(tid) {
+                return Err(DeltaError::DuplicatePatch { id: tid });
+            }
+            if p.deleted.is_empty() && p.inserted.is_empty() {
+                return Err(DeltaError::EmptyPatch { id: tid });
+            }
+            let expected = corpus.tables[tid.0 as usize].width();
+            for row in p.deleted.iter().chain(&p.inserted) {
+                if row.len() != expected {
+                    return Err(DeltaError::ContradictoryPatch {
+                        id: tid,
+                        width: row.len(),
+                        expected,
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Advance a live mask past this (validated) delta: added tables
+    /// join live, removed ones die.
+    pub fn advance_live_mask(&self, alive: &mut Vec<bool>) {
+        alive.resize(alive.len() + self.added.len(), true);
+        for &tid in &self.removed {
+            alive[tid.0 as usize] = false;
+        }
+    }
 }
 
 /// Wall-clock breakdown of one [`SynthesisSession::apply_delta`].
@@ -652,7 +729,13 @@ impl SynthesisSession {
         corpus: &Corpus,
         delta: &CorpusDelta,
     ) -> Result<DeltaReport, DeltaError> {
-        self.validate_delta(corpus, delta)?;
+        // Upfront validation — no artifact is touched. `Ok` means the
+        // mutating path cannot reject the delta (only an internal
+        // invariant break — contained below — could still fail it).
+        let (Some(incr), Some(_)) = (&self.incr, &self.scores) else {
+            return Err(DeltaError::NotPrepared);
+        };
+        delta.validate(corpus, &incr.alive_tables)?;
         let backup = SessionBackup {
             extraction: self.extraction.clone(),
             values: self.values.clone(),
@@ -680,74 +763,6 @@ impl SynthesisSession {
         }
     }
 
-    /// Full upfront validation of `delta` against the session's
-    /// last-seen corpus shape — no artifact is touched. `Ok` means the
-    /// mutating path cannot reject the delta (only an internal
-    /// invariant break — contained separately — could still fail it).
-    fn validate_delta(&self, corpus: &Corpus, delta: &CorpusDelta) -> Result<(), DeltaError> {
-        if self.scores.is_none() || self.incr.is_none() {
-            return Err(DeltaError::NotPrepared);
-        }
-        let incr = self.incr.as_ref().expect("checked above");
-        let old_len = incr.alive_tables.len();
-        let mut seen = HashSet::new();
-        for &tid in &delta.removed {
-            if (tid.0 as usize) >= old_len {
-                return Err(DeltaError::UnknownTable { id: tid });
-            }
-            if !incr.alive_tables[tid.0 as usize] {
-                return Err(DeltaError::RemovedTableNotLive { id: tid });
-            }
-            if !seen.insert(tid) {
-                return Err(DeltaError::DuplicateRemoval { id: tid });
-            }
-        }
-        if corpus.len() != old_len + delta.added.len() {
-            return Err(DeltaError::FingerprintMismatch {
-                expected: old_len + delta.added.len(),
-                got: corpus.len(),
-            });
-        }
-        for (k, &tid) in delta.added.iter().enumerate() {
-            if tid.0 as usize != old_len + k {
-                return Err(DeltaError::AddedIdOutOfOrder {
-                    id: tid,
-                    expected: (old_len + k) as u32,
-                });
-            }
-        }
-        let mut patched = HashSet::new();
-        for p in &delta.patches {
-            let tid = p.table;
-            if (tid.0 as usize) >= old_len {
-                return Err(DeltaError::UnknownTable { id: tid });
-            }
-            if !incr.alive_tables[tid.0 as usize] {
-                return Err(DeltaError::PatchToRemovedTable { id: tid });
-            }
-            if seen.contains(&tid) {
-                return Err(DeltaError::PatchAndRemoveSameDelta { id: tid });
-            }
-            if !patched.insert(tid) {
-                return Err(DeltaError::DuplicatePatch { id: tid });
-            }
-            if p.deleted.is_empty() && p.inserted.is_empty() {
-                return Err(DeltaError::EmptyPatch { id: tid });
-            }
-            let expected = corpus.tables[tid.0 as usize].width();
-            for row in p.deleted.iter().chain(&p.inserted) {
-                if row.len() != expected {
-                    return Err(DeltaError::ContradictoryPatch {
-                        id: tid,
-                        width: row.len(),
-                        expected,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// The mutating section: everything past validation. Runs under
     /// `catch_unwind` with a full artifact backup held by the caller,
     /// so internal invariant breaks surface as
@@ -761,13 +776,7 @@ impl SynthesisSession {
             tables_patched: delta.patches.len(),
             ..Default::default()
         };
-        {
-            let incr = self.incr.as_mut().unwrap();
-            incr.alive_tables.resize(corpus.len(), true);
-            for &tid in &delta.removed {
-                incr.alive_tables[tid.0 as usize] = false;
-            }
-        }
+        delta.advance_live_mask(&mut self.incr.as_mut().unwrap().alive_tables);
 
         // Stage 1 — incremental extraction.
         let live_before = self

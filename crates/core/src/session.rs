@@ -44,7 +44,7 @@ use crate::graph::{graph_from_scores, CompatGraph};
 use crate::partition::{partition_by_components, Partitioning};
 use crate::pipeline::{PipelineConfig, PipelineOutput, Resolver, StageTimings};
 use crate::synth::SynthesizedMapping;
-use crate::values::{build_value_space_sharded, NormBinary, NormId, ValueSpace};
+use crate::values::{build_value_space_sharded, NormBinary, ValueSpace};
 use mapsynth_corpus::{BinaryId, CoherenceFunnel, Corpus, TableId, TableSource};
 use mapsynth_extract::{extract_candidates_streaming, ExtractionStats};
 use mapsynth_mapreduce::MapReduce;
@@ -525,7 +525,9 @@ impl SynthesisSession {
     /// the tombstoned fraction of the stage-2 table slice. Computed on
     /// demand by walking the live candidates — no counters to
     /// maintain, so the probe costs one pass over live candidate
-    /// cells. Returns `(0, 0)` before [`prepare`](Self::prepare).
+    /// cells, counted in a flag per value (`NormId`s index the value
+    /// space densely). Returns `(0, 0)` before
+    /// [`prepare`](Self::prepare).
     pub fn garbage_fractions(&self) -> (f64, f64) {
         let (Some(incr), Some(values), Some(extraction)) =
             (&self.incr, &self.values, &self.extraction)
@@ -541,20 +543,48 @@ impl SynthesisSession {
         let value_garbage = if values.space.is_empty() {
             0.0
         } else {
-            let mut live: std::collections::HashSet<NormId> = std::collections::HashSet::new();
+            let mut live = vec![false; values.space.len()];
             for id in incr.extraction_cache.live_candidate_ids() {
                 for &(l, r) in &extraction.candidates[id as usize].pairs {
                     if let Some(n) = incr.interning.norm_of(l) {
-                        live.insert(n);
+                        live[n.0 as usize] = true;
                     }
                     if let Some(n) = incr.interning.norm_of(r) {
-                        live.insert(n);
+                        live[n.0 as usize] = true;
                     }
                 }
             }
-            1.0 - live.len() as f64 / values.space.len() as f64
+            let n_live = live.iter().filter(|&&l| l).count();
+            1.0 - n_live as f64 / values.space.len() as f64
         };
         (value_garbage, candidate_garbage)
+    }
+
+    /// The value-garbage fraction counted through a hash set of live
+    /// `NormId`s — the oracle the flag-per-value count in
+    /// [`garbage_fractions`](Self::garbage_fractions) is tested against.
+    #[cfg(test)]
+    fn value_garbage_by_hash_set(&self) -> f64 {
+        let (Some(incr), Some(values), Some(extraction)) =
+            (&self.incr, &self.values, &self.extraction)
+        else {
+            return 0.0;
+        };
+        if values.space.is_empty() {
+            return 0.0;
+        }
+        let mut live: std::collections::HashSet<crate::values::NormId> = Default::default();
+        for id in incr.extraction_cache.live_candidate_ids() {
+            for &(l, r) in &extraction.candidates[id as usize].pairs {
+                if let Some(n) = incr.interning.norm_of(l) {
+                    live.insert(n);
+                }
+                if let Some(n) = incr.interning.norm_of(r) {
+                    live.insert(n);
+                }
+            }
+        }
+        1.0 - live.len() as f64 / values.space.len() as f64
     }
 
     /// Whether either garbage fraction has crossed the configured
@@ -1081,6 +1111,62 @@ mod tests {
         for (a, b) in from_batch.mappings.iter().zip(&from_stream.mappings) {
             assert_eq!(a.materialize_pairs(), b.materialize_pairs());
         }
+    }
+
+    /// The flag-per-value count of live values agrees exactly with the
+    /// hash-set count across a delta stream that adds tables carrying a
+    /// value of their own and removes them again (value garbage grows)
+    /// — and after a compaction resets it.
+    #[test]
+    fn value_garbage_flags_match_the_hash_set_count() {
+        use crate::delta::CorpusDelta;
+        let mut corpus = corpus();
+        let mut s = SynthesisSession::new(PipelineConfig::default());
+        s.prepare(&corpus);
+        let check = |s: &SynthesisSession| {
+            let (values, _) = s.garbage_fractions();
+            assert_eq!(values.to_bits(), s.value_garbage_by_hash_set().to_bits());
+            values
+        };
+        assert_eq!(check(&s), 0.0);
+        let mut peak: f64 = 0.0;
+        let mut previous: Option<TableId> = None;
+        for i in 0..8 {
+            let d = corpus.domain(&format!("stream-{i}.org"));
+            let (mut l, mut r): (Vec<String>, Vec<String>) = [
+                ("Afghanistan", "AFG"),
+                ("Albania", "ALB"),
+                ("Algeria", "DZA"),
+                ("Germany", "DEU"),
+                ("Netherlands", "NLD"),
+            ]
+            .iter()
+            .map(|&(a, b)| (a.to_string(), b.to_string()))
+            .unzip();
+            l.push(format!("Zamunda-{i}"));
+            r.push(format!("ZAM{i}"));
+            let tid = corpus.push_table(
+                d,
+                vec![
+                    (Some("country"), l.iter().map(String::as_str).collect()),
+                    (Some("code"), r.iter().map(String::as_str).collect()),
+                ],
+            );
+            // Every other delta retires the table the previous one
+            // added, orphaning its own values.
+            let removed: Vec<TableId> = previous.filter(|_| i % 2 == 1).into_iter().collect();
+            previous = Some(tid);
+            let delta = CorpusDelta {
+                added: vec![tid],
+                removed,
+                patches: vec![],
+            };
+            s.apply_delta(&corpus, &delta).expect("valid delta");
+            peak = peak.max(check(&s));
+        }
+        assert!(peak > 0.0, "the stream must orphan some values");
+        s.compact(&corpus);
+        assert_eq!(check(&s), 0.0);
     }
 
     #[test]

@@ -33,7 +33,10 @@ impl fmt::Debug for Sym {
 /// An append-only string interner.
 ///
 /// Strings are stored once in an arena vector; a hash map resolves
-/// string → [`Sym`]. Lookups by symbol are a plain vector index.
+/// string → [`Sym`]. Lookups by symbol are a plain vector index. The
+/// one exception to append-only is [`truncate`](Self::truncate): a
+/// transactional rollback drops the strings a rejected edit interned,
+/// once no [`Sym`] past the mark is held anywhere.
 #[derive(Clone, Default)]
 pub struct Interner {
     strings: Vec<Box<str>>,
@@ -79,6 +82,18 @@ impl Interner {
     #[inline]
     pub fn resolve(&self, sym: Sym) -> &str {
         &self.strings[sym.index()]
+    }
+
+    /// Forget every string interned after the first `len`, so the
+    /// interner is exactly as it was when it held `len` strings. Only
+    /// sound when no [`Sym`] `>= len` survives anywhere: a later
+    /// [`intern`](Self::intern) hands those symbols out again, for
+    /// other strings.
+    pub fn truncate(&mut self, len: usize) {
+        while self.strings.len() > len {
+            let s = self.strings.pop().expect("len checked above");
+            self.map.remove(&s);
+        }
     }
 
     /// Number of distinct interned strings.
@@ -139,6 +154,22 @@ mod tests {
         let mut i = Interner::new();
         let e = i.intern("");
         assert_eq!(i.resolve(e), "");
+    }
+
+    #[test]
+    fn truncate_forgets_later_strings() {
+        let mut i = Interner::new();
+        let a = i.intern("a");
+        i.intern("b");
+        i.intern("c");
+        i.truncate(1);
+        assert_eq!(i.len(), 1);
+        assert_eq!(i.get("a"), Some(a));
+        assert_eq!(i.get("b"), None);
+        assert_eq!(i.get("c"), None);
+        assert_eq!(i.intern("c"), Sym(1), "freed symbols are handed out again");
+        i.truncate(5);
+        assert_eq!(i.len(), 2, "truncating past the end is a no-op");
     }
 
     #[test]

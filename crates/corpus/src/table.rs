@@ -379,9 +379,12 @@ impl Corpus {
     /// Drop every table past `len`, undoing a run of
     /// [`push_table`](Self::push_table) calls — the corpus half of a
     /// transactional rollback when a delta is rejected after its added
-    /// tables were appended. Interned strings stay (symbols are
-    /// append-only and harmless when dormant); the caller re-applies
-    /// inverse row patches separately.
+    /// tables were appended. Interned strings and domain names stay;
+    /// the caller re-applies inverse row patches separately, and may
+    /// then shrink [`domain_names`](Self::domain_names) and the
+    /// interner ([`Interner::truncate`] — the one exception to
+    /// append-only symbols) back to their lengths before the edit, so
+    /// a rejected edit leaves nothing behind.
     ///
     /// # Panics
     /// Panics if `len` exceeds the current table count.

@@ -16,8 +16,9 @@
 //!    [`SynthesisSession::apply_delta`] runs all-or-nothing (typed
 //!    [`DeltaError`] + `catch_unwind` containment). On rejection the
 //!    corpus is rolled back (appended tables truncated, applied row
-//!    patches inverted in reverse order) so corpus and session stay
-//!    in lockstep;
+//!    patches inverted in reverse order, the domain names and strings
+//!    the request interned forgotten) so corpus and session stay in
+//!    lockstep and a stream of rejected deltas grows nothing;
 //! 3. **publish** — every `publish_every` accepted deltas the worker
 //!    synthesizes and calls [`MappingService::publish_delta`]. The
 //!    snapshot is derived in memory from the session, so publishing
@@ -600,7 +601,13 @@ impl Worker {
     /// Reclaim tombstones and densely renumber, keeping the key map in
     /// lockstep.
     fn compact(&mut self) {
-        compact_with_keys(&mut self.session, &mut self.corpus, &mut self.key_of_table);
+        self.corpus = self.session.compact(&self.corpus);
+        renumber_keys(&mut self.key_of_table);
+        debug_assert_eq!(
+            self.key_of_table.len(),
+            self.corpus.len(),
+            "key map must cover exactly the live tables"
+        );
         self.shared.compactions.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -625,43 +632,82 @@ impl Worker {
     }
 }
 
-/// Resolve a key-addressed request against the live table set, evolve
-/// the corpus, and run the guarded [`SynthesisSession::apply_delta`] —
-/// the single apply path shared by the live ingestion worker and WAL
-/// replay during recovery (which is what makes replay
-/// observation-identical to the original stream). On any rejection the
-/// corpus is rolled back to byte-equivalent content (appended tables
-/// truncated, applied patches inverted in reverse order — table row
-/// *order* may differ, which extraction canonicalizes away), keeping
-/// it in lockstep with the untouched session. `sabotage` arms the
-/// fault injector's induced apply panic (always `false` outside the
-/// fault harness).
-pub(crate) fn apply_request_to(
-    session: &mut SynthesisSession,
+/// Where the corpus stood before [`evolve_corpus`] touched it: what a
+/// rejected request is rolled back to.
+struct CorpusMark {
+    tables: usize,
+    domains: usize,
+    strings: usize,
+}
+
+impl CorpusMark {
+    fn of(corpus: &Corpus) -> Self {
+        Self {
+            tables: corpus.len(),
+            domains: corpus.domain_names.len(),
+            strings: corpus.interner.len(),
+        }
+    }
+
+    /// Undo an evolution: drop appended tables, invert the `applied`
+    /// row patches in reverse order, then forget the domain names and
+    /// strings the request interned. The strings go last — inverting a
+    /// patch looks its inserted cells up by value. Sound because a
+    /// rejected request leaves no symbol past the mark anywhere: the
+    /// session is untouched (or restored from its backup) and the
+    /// corpus tables holding one are gone. The result is
+    /// byte-equivalent content; table row *order* may differ, which
+    /// extraction canonicalizes away.
+    fn rollback(self, corpus: &mut Corpus, applied: &[RowPatch]) {
+        corpus.truncate_tables(self.tables);
+        for p in applied.iter().rev() {
+            let inverse = RowPatch {
+                table: p.table,
+                deleted: p.inserted.clone(),
+                inserted: p.deleted.clone(),
+            };
+            corpus.apply_row_patch(&inverse);
+        }
+        corpus.domain_names.truncate(self.domains);
+        corpus.interner.truncate(self.strings);
+    }
+}
+
+/// The corpus half of applying a key-addressed request, shared by the
+/// live worker and WAL replay: resolve keys against the live table
+/// set, refuse duplicate keys and ragged tables, check and apply the
+/// row patches, push the added tables. Returns the id-addressed
+/// [`CorpusDelta`] (whose own checks, [`CorpusDelta::validate`], come
+/// next) and the mark to roll the corpus back to should a later check
+/// reject it. On its own rejection the corpus is left as it was.
+fn evolve_corpus(
     corpus: &mut Corpus,
-    key_of_table: &mut HashMap<u64, TableId>,
+    key_of_table: &HashMap<u64, TableId>,
     request: &DeltaRequest,
-    sabotage: bool,
-) -> Result<(), IngestError> {
+) -> Result<(CorpusDelta, CorpusMark), IngestError> {
     // Key resolution — pure.
-    let mut removed: Vec<TableId> = Vec::with_capacity(request.remove.len());
-    for &key in &request.remove {
-        let tid = *key_of_table
+    let resolve = |key: u64| {
+        key_of_table
             .get(&key)
-            .ok_or(IngestError::UnknownKey { key })?;
-        removed.push(tid);
-    }
-    let mut patches: Vec<RowPatch> = Vec::with_capacity(request.patches.len());
-    for p in &request.patches {
-        let tid = *key_of_table
-            .get(&p.key)
-            .ok_or(IngestError::UnknownKey { key: p.key })?;
-        patches.push(RowPatch {
-            table: tid,
-            deleted: p.deleted.clone(),
-            inserted: p.inserted.clone(),
-        });
-    }
+            .copied()
+            .ok_or(IngestError::UnknownKey { key })
+    };
+    let removed = request
+        .remove
+        .iter()
+        .map(|&key| resolve(key))
+        .collect::<Result<Vec<TableId>, _>>()?;
+    let patches = request
+        .patches
+        .iter()
+        .map(|p| {
+            Ok(RowPatch {
+                table: resolve(p.key)?,
+                deleted: p.deleted.clone(),
+                inserted: p.inserted.clone(),
+            })
+        })
+        .collect::<Result<Vec<RowPatch>, IngestError>>()?;
     let mut fresh: std::collections::HashSet<u64> = Default::default();
     for t in &request.add {
         if key_of_table.contains_key(&t.key) || !fresh.insert(t.key) {
@@ -674,89 +720,112 @@ pub(crate) fn apply_request_to(
     }
 
     // Corpus evolution, recorded for rollback.
-    let len_before = corpus.len();
-    let mut applied: Vec<RowPatch> = Vec::new();
-    let mut failure: Option<IngestError> = None;
-    for p in &patches {
+    let mark = CorpusMark::of(corpus);
+    for (applied, p) in patches.iter().enumerate() {
         if let Err(e) = corpus.check_row_patch(p) {
-            failure = Some(IngestError::Patch(e));
-            break;
+            mark.rollback(corpus, &patches[..applied]);
+            return Err(IngestError::Patch(e));
         }
         corpus.apply_row_patch(p);
-        applied.push(p.clone());
     }
-    let mut added: Vec<TableId> = Vec::with_capacity(request.add.len());
-    if failure.is_none() {
-        for t in &request.add {
+    let added = request
+        .add
+        .iter()
+        .map(|t| {
             let d = corpus.domain(&t.domain);
             let columns: Vec<(Option<&str>, Vec<&str>)> = t
                 .columns
                 .iter()
-                .map(|(h, vs)| {
-                    (
-                        h.as_deref(),
-                        vs.iter().map(String::as_str).collect::<Vec<&str>>(),
-                    )
-                })
+                .map(|(h, vs)| (h.as_deref(), vs.iter().map(String::as_str).collect()))
                 .collect();
-            added.push(corpus.push_table(d, columns));
-        }
-        let delta = CorpusDelta {
-            added: added.clone(),
-            removed,
-            patches: applied.clone(),
-        };
-        if sabotage {
-            fault::arm_induced_panic();
-        }
-        let applied_result = session.apply_delta(corpus, &delta);
-        // A validation-rejected sabotaged delta never reaches the
-        // fire point; don't let the arm leak onto the next delta.
-        fault::disarm();
-        match applied_result {
-            Ok(_) => {
-                for (t, tid) in request.add.iter().zip(added) {
-                    key_of_table.insert(t.key, tid);
-                }
-                for key in &request.remove {
-                    key_of_table.remove(key);
-                }
-                return Ok(());
-            }
-            Err(e) => failure = Some(IngestError::Delta(e)),
-        }
-    }
-
-    // Rollback: drop appended tables, invert applied patches.
-    corpus.truncate_tables(len_before);
-    for p in applied.iter().rev() {
-        let inverse = RowPatch {
-            table: p.table,
-            deleted: p.inserted.clone(),
-            inserted: p.deleted.clone(),
-        };
-        corpus.apply_row_patch(&inverse);
-    }
-    Err(failure.unwrap_or(IngestError::DuplicateKey { key: u64::MAX }))
+            corpus.push_table(d, columns)
+        })
+        .collect();
+    let delta = CorpusDelta {
+        added,
+        removed,
+        patches,
+    };
+    Ok((delta, mark))
 }
 
-/// Reclaim tombstones and densely renumber, keeping the key map in
-/// lockstep: compaction preserves the relative order of live tables,
-/// so the k-th smallest live id becomes `TableId(k)`. Shared by the
-/// ingestion worker and WAL replay.
-pub(crate) fn compact_with_keys(
+/// Bring the key map past an accepted request: added keys name their
+/// new tables, removed keys are gone.
+fn commit_keys(
+    key_of_table: &mut HashMap<u64, TableId>,
+    request: &DeltaRequest,
+    added: &[TableId],
+) {
+    for (t, &tid) in request.add.iter().zip(added) {
+        key_of_table.insert(t.key, tid);
+    }
+    for key in &request.remove {
+        key_of_table.remove(key);
+    }
+}
+
+/// Apply a key-addressed request on the live path: [`evolve_corpus`],
+/// then the guarded [`SynthesisSession::apply_delta`] (which runs
+/// [`CorpusDelta::validate`] against the session's live mask first).
+/// On any rejection the corpus is rolled back, keeping it in lockstep
+/// with the untouched session. `sabotage` arms the fault injector's
+/// induced apply panic (always `false` outside the fault harness).
+fn apply_request_to(
     session: &mut SynthesisSession,
     corpus: &mut Corpus,
     key_of_table: &mut HashMap<u64, TableId>,
-) {
-    *corpus = session.compact(corpus);
+    request: &DeltaRequest,
+    sabotage: bool,
+) -> Result<(), IngestError> {
+    let (delta, mark) = evolve_corpus(corpus, key_of_table, request)?;
+    if sabotage {
+        fault::arm_induced_panic();
+    }
+    let applied = session.apply_delta(corpus, &delta);
+    // A validation-rejected sabotaged delta never reaches the fire
+    // point; don't let the arm leak onto the next delta.
+    fault::disarm();
+    match applied {
+        Ok(_) => {
+            commit_keys(key_of_table, request, &delta.added);
+            Ok(())
+        }
+        Err(e) => {
+            mark.rollback(corpus, &delta.patches);
+            Err(IngestError::Delta(e))
+        }
+    }
+}
+
+/// Replay an accepted request into the corpus alone — WAL recovery,
+/// which prepares one session over the result instead of advancing one
+/// per record. The same checks as [`apply_request_to`], in the same
+/// order ([`evolve_corpus`], then [`CorpusDelta::validate`] against
+/// `alive`, the live mask over `corpus`), so a record is rejected here
+/// exactly when the live worker would reject it. On success `alive`
+/// and the key map follow the request; on rejection nothing changes.
+pub(crate) fn replay_request_into(
+    corpus: &mut Corpus,
+    alive: &mut Vec<bool>,
+    key_of_table: &mut HashMap<u64, TableId>,
+    request: &DeltaRequest,
+) -> Result<(), IngestError> {
+    let (delta, mark) = evolve_corpus(corpus, key_of_table, request)?;
+    if let Err(e) = delta.validate(corpus, alive) {
+        mark.rollback(corpus, &delta.patches);
+        return Err(IngestError::Delta(e));
+    }
+    delta.advance_live_mask(alive);
+    commit_keys(key_of_table, request, &delta.added);
+    Ok(())
+}
+
+/// Renumber the key map densely, as dropping the dead tables from the
+/// corpus does: the live tables keep their relative order, so the k-th
+/// smallest live id becomes `TableId(k)`.
+pub(crate) fn renumber_keys(key_of_table: &mut HashMap<u64, TableId>) {
     let mut entries: Vec<(u64, TableId)> = key_of_table.drain().collect();
     entries.sort_by_key(|&(_, tid)| tid.0);
-    debug_assert_eq!(
-        entries.len(),
-        corpus.len(),
-        "key map must cover exactly the live tables"
-    );
     for (k, (key, _)) in entries.into_iter().enumerate() {
         key_of_table.insert(key, TableId(k as u32));
     }

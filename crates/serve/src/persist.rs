@@ -18,12 +18,18 @@
 //!   the delta can reach a publish), rotating to a new sealed segment
 //!   at a size threshold;
 //! * [`recover`] loads the newest *valid* archive — falling back to
-//!   older generations when the newest is corrupt — rebuilds the
-//!   session by re-preparing on the archived corpus, replays the WAL
-//!   tail through the **same** apply path the live ingestor uses
-//!   ([`crate::ingest`]'s shared apply), truncates a torn final record
-//!   instead of failing, and derives the served snapshot from the
-//!   replayed session. Every other corruption is a typed
+//!   older generations when the newest is corrupt — rebuilds its
+//!   corpus, replays the WAL tail **into the corpus alone** through
+//!   the same key resolution and checks the live ingestor runs
+//!   ([`crate::ingest`]'s shared corpus half plus
+//!   [`CorpusDelta::validate`](mapsynth::delta::CorpusDelta::validate)),
+//!   truncates a torn final record instead of failing, then prepares
+//!   **one** session on the live corpus and derives the served
+//!   snapshot from it. One `prepare` suffices because a session
+//!   advanced delta by delta is bit-identical to a fresh session on
+//!   its live corpus (the delta path's oracle), so replaying each
+//!   record through a session would only repeat, per record, work the
+//!   final `prepare` does once. Every other corruption is a typed
 //!   [`PersistError`] — never a panic, never silently wrong data.
 //!
 //! File formats ride on `mapsynth_corpus`'s checksummed framing
@@ -42,7 +48,7 @@
 //! no record can be missing between them); only a provable hole halts
 //! it.
 
-use crate::ingest::{apply_request_to, compact_with_keys, DeltaRequest, IngestError};
+use crate::ingest::{renumber_keys, replay_request_into, DeltaRequest, IngestError};
 use crate::service::MappingService;
 use crate::snapshot::{IndexSnapshot, SnapshotBuilder};
 use mapsynth::delta::{PortableDelta, PortableTable};
@@ -667,10 +673,8 @@ pub struct ReplayReport {
     pub wal_segments: usize,
     /// Records skipped as already covered by the archive.
     pub wal_skipped: u64,
-    /// Records replayed through the apply path.
+    /// Records replayed into the corpus.
     pub wal_replayed: u64,
-    /// Compaction passes triggered during replay.
-    pub replay_compactions: u64,
     /// How the WAL ended.
     pub wal_tail: WalTail,
     /// Bytes removed when truncating a torn final record (0 unless
@@ -695,23 +699,27 @@ pub struct ReplayReport {
 pub struct Recovered {
     /// A fresh service already serving the recovered state.
     pub service: Arc<MappingService>,
-    /// The replayed session (ready for more deltas or a respawned
-    /// ingestor).
+    /// A session freshly prepared on `corpus` (ready for more deltas
+    /// or a respawned ingestor).
     pub session: SynthesisSession,
-    /// The rebuilt corpus.
+    /// The recovered live corpus: dense, every table live.
     pub corpus: Corpus,
-    /// Stable key → live table id, in lockstep with the corpus.
+    /// Stable key → live table id, covering `corpus` 1:1.
     pub key_of_table: HashMap<u64, TableId>,
     /// What happened.
     pub report: ReplayReport,
 }
 
 /// Recover a serving state from `dir`: newest valid archive (with
-/// generation fallback), then WAL tail replay through the shared
-/// apply path, then one synthesis of the replayed session, indexed and
-/// installed as the served snapshot. See the module docs for
-/// the failure policy; the one *repair* performed is physically
-/// truncating a torn final WAL record.
+/// generation fallback), then WAL tail replay into the corpus through
+/// the live worker's key resolution and checks, then one `prepare` of
+/// the live corpus and one synthesis, indexed and installed as the
+/// served snapshot. The session is never advanced per record: a
+/// session streamed through the deltas serves exactly what a fresh
+/// `prepare` of the live corpus serves, so the one `prepare` is all
+/// the replay needs. See the module docs for the failure policy; the
+/// one *repair* performed is physically truncating a torn final WAL
+/// record.
 pub fn recover(
     dir: &Path,
     config: PipelineConfig,
@@ -743,8 +751,7 @@ pub fn recover(
     };
     let archives_tried = archive_errors.len() + 1;
 
-    // Phase 2: rebuild corpus + session from the archived portable
-    // tables.
+    // Phase 2: rebuild the archived corpus from its portable tables.
     let mut corpus = Corpus::new();
     let mut key_of_table: HashMap<u64, TableId> = HashMap::new();
     for t in &archive.tables {
@@ -762,16 +769,15 @@ pub fn recover(
         let tid = corpus.push_table(d, columns);
         key_of_table.insert(t.key, tid);
     }
-    let mut session = SynthesisSession::new(config);
-    session.prepare(&corpus);
 
-    // Phase 3: replay the WAL tail.
+    // Phase 3: replay the WAL tail into the corpus; removed tables die
+    // in `alive` and leave the corpus in phase 4.
+    let mut alive = vec![true; corpus.len()];
     let covered = archive.meta.covered_seq;
     let mut expected = covered + 1;
     let segs = segments(dir)?;
     let mut wal_skipped = 0u64;
     let mut wal_replayed = 0u64;
-    let mut replay_compactions = 0u64;
     let mut wal_tail = WalTail::Empty;
     let mut torn_truncated_bytes = 0u64;
     let mut wal_halted: Option<Box<PersistError>> = None;
@@ -802,12 +808,8 @@ pub fn recover(
                     }
                     let delta = PortableDelta::decode(&record[r.position()..])
                         .map_err(|e| decode_err(path, e))?;
-                    apply_request_to(&mut session, &mut corpus, &mut key_of_table, &delta, false)
+                    replay_request_into(&mut corpus, &mut alive, &mut key_of_table, &delta)
                         .map_err(|error| PersistError::Replay { seq, error })?;
-                    if session.compaction_due() {
-                        compact_with_keys(&mut session, &mut corpus, &mut key_of_table);
-                        replay_compactions += 1;
-                    }
                     expected += 1;
                     wal_replayed += 1;
                 }
@@ -891,10 +893,17 @@ pub fn recover(
         }
     }
 
-    // Phase 4: derive the served snapshot from the replayed session,
-    // stamped with the version the uncrashed service serves: the
-    // archive's when nothing replayed, the next one after a replay (the
-    // tail publish) or over a base archive of a never-published service.
+    // Phase 4: the live corpus (dense, as a compaction leaves it) and
+    // one session prepared on it.
+    let corpus = corpus.subset(|tid| alive[tid.0 as usize]);
+    renumber_keys(&mut key_of_table);
+    let mut session = SynthesisSession::new(config);
+    session.prepare(&corpus);
+
+    // Phase 5: derive the served snapshot from the session, stamped
+    // with the version the uncrashed service serves: the archive's when
+    // nothing replayed, the next one after a replay (the tail publish)
+    // or over a base archive of a never-published service.
     let archive_version = archive.meta.version;
     let synthesis = session.config().synthesis;
     let run = session.synthesize(&synthesis, resolver);
@@ -915,7 +924,6 @@ pub fn recover(
         wal_segments: segs.len(),
         wal_skipped,
         wal_replayed,
-        replay_compactions,
         wal_tail,
         torn_truncated_bytes,
         wal_halted,

@@ -322,6 +322,56 @@ fn poisoned_deltas_are_quarantined_and_rolled_back() {
     );
 }
 
+/// A rejected delta takes back everything it interned: 50 adds, each
+/// bundled with a patch and a removal of the same key (rejected by the
+/// session after the corpus was already evolved), leave the corpus's
+/// domain list and interner exactly as long as before the stream, and
+/// none of their cells resolvable.
+#[test]
+fn rejected_deltas_leave_no_interned_strings_behind() {
+    let (corpus, session, keys) = fixture(4);
+    let (domains_before, strings_before) = (corpus.domain_names.len(), corpus.interner.len());
+    let ing = DeltaIngestor::spawn(
+        session,
+        corpus,
+        &keys,
+        Arc::new(MappingService::new()),
+        IngestorConfig::default(),
+        Box::new(NoFaults),
+    )
+    .expect("ingestor config is valid");
+    for i in 0..50u64 {
+        let ghost = format!("Ghostland-{i}");
+        let phantom = format!("Phantasia-{i}");
+        ing.submit(DeltaRequest {
+            add: vec![add_table(
+                1000 + i,
+                &format!("rejected-{i}.org"),
+                &[(ghost.as_str(), "GHO"), ("Albania", "ALB")],
+            )],
+            remove: vec![100],
+            patches: vec![patch(100, &[], &[(phantom.as_str(), "PHA")])],
+        });
+    }
+    let outcome = ing.shutdown();
+    assert_eq!(outcome.stats.rejected, 50);
+    assert!(outcome.quarantine.iter().all(|q| matches!(
+        q.error,
+        IngestError::Delta(DeltaError::PatchAndRemoveSameDelta { .. })
+    )));
+    let corpus = &outcome.corpus;
+    assert_eq!(corpus.domain_names.len(), domains_before);
+    assert_eq!(corpus.interner.len(), strings_before);
+    for cell in ["Ghostland-7", "Phantasia-7", "GHO", "PHA", "rejected-7.org"] {
+        assert_eq!(
+            corpus.interner.get(cell),
+            None,
+            "{cell} outlived its rejection"
+        );
+    }
+    assert_matches_fresh(&outcome.session, corpus);
+}
+
 #[test]
 fn induced_apply_panics_are_contained_and_replayable() {
     let (corpus, session, keys) = fixture(4);

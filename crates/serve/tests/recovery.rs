@@ -11,9 +11,13 @@
 //! same point — each sweep cell below *is* a kill state, constructed
 //! without killing processes.
 
+use mapsynth::delta::DeltaError;
+use mapsynth::graph::CompatGraph;
 use mapsynth::pipeline::{PipelineConfig, Resolver, SynthesisSession};
 use mapsynth_corpus::{Corpus, FrameWriter};
-use mapsynth_serve::ingest::{DeltaIngestor, DeltaRequest, IngestorConfig, NoFaults, TableSpec};
+use mapsynth_serve::ingest::{
+    DeltaIngestor, DeltaRequest, IngestError, IngestorConfig, NoFaults, PatchSpec, TableSpec,
+};
 use mapsynth_serve::{recover, MappingService, PersistConfig, PersistError, Persistence, WalTail};
 use std::fs;
 use std::path::PathBuf;
@@ -28,7 +32,7 @@ const ROWS: [(&str, &str); 6] = [
     ("Greece", "GRC"),
 ];
 
-fn fixture(n: usize) -> (Corpus, SynthesisSession, Vec<u64>) {
+fn fixture(n: usize, cfg: PipelineConfig) -> (Corpus, SynthesisSession, Vec<u64>) {
     let mut corpus = Corpus::new();
     for i in 0..n {
         let d = corpus.domain(&format!("iso-{i}.org"));
@@ -44,10 +48,6 @@ fn fixture(n: usize) -> (Corpus, SynthesisSession, Vec<u64>) {
         ];
         corpus.push_table(d, cols);
     }
-    let cfg = PipelineConfig {
-        compact_threshold: 0.2,
-        ..PipelineConfig::default()
-    };
     let mut session = SynthesisSession::new(cfg);
     session.prepare(&corpus);
     let keys: Vec<u64> = (0..n as u64).map(|i| 100 + i).collect();
@@ -129,7 +129,7 @@ fn pipe_cfg() -> PipelineConfig {
 /// rooted at `pcfg.dir`, then shut down — leaving the directory as
 /// the kill state.
 fn run_persisted(k: usize, pcfg: PersistConfig) -> mapsynth_serve::IngestOutcome {
-    let (corpus, session, keys) = fixture(4);
+    let (corpus, session, keys) = fixture(4, pipe_cfg());
     let service = Arc::new(MappingService::new());
     let persistence = Persistence::create(pcfg, 0).expect("init persistence");
     let ing = DeltaIngestor::spawn_with_persistence(
@@ -161,7 +161,17 @@ fn run_persisted(k: usize, pcfg: PersistConfig) -> mapsynth_serve::IngestOutcome
 /// The uncrashed oracle: the same `k` deltas through a plain
 /// (non-persistent) ingestor.
 fn run_oracle(k: usize) -> (mapsynth_serve::IngestOutcome, Arc<MappingService>) {
-    let (corpus, session, keys) = fixture(4);
+    run_plain(4, pipe_cfg(), stream().into_iter().take(k))
+}
+
+/// `deltas` through a plain (non-persistent) ingestor over
+/// `fixture(n, cfg)`.
+fn run_plain(
+    n: usize,
+    cfg: PipelineConfig,
+    deltas: impl IntoIterator<Item = DeltaRequest>,
+) -> (mapsynth_serve::IngestOutcome, Arc<MappingService>) {
+    let (corpus, session, keys) = fixture(n, cfg);
     let service = Arc::new(MappingService::new());
     let ing = DeltaIngestor::spawn(
         session,
@@ -172,7 +182,7 @@ fn run_oracle(k: usize) -> (mapsynth_serve::IngestOutcome, Arc<MappingService>) 
         Box::new(NoFaults),
     )
     .expect("spawn oracle ingestor");
-    for delta in stream().into_iter().take(k) {
+    for delta in deltas {
         ing.submit(delta);
     }
     (ing.shutdown(), service)
@@ -182,11 +192,15 @@ fn run_oracle(k: usize) -> (mapsynth_serve::IngestOutcome, Arc<MappingService>) 
 /// corpus, graphed. Fresh preparation gives ID-stable edge lists, so
 /// two states with identical content produce byte-identical dumps.
 fn golden_edges(session: &SynthesisSession, corpus: &Corpus) -> String {
-    use std::fmt::Write as _;
     let live = session.live_corpus(corpus);
     let mut fresh = SynthesisSession::new(session.config().clone());
     fresh.prepare(&live);
-    let graph = fresh.graph(&fresh.config().synthesis);
+    edge_dump(&fresh.graph(&fresh.config().synthesis))
+}
+
+/// A graph's edges, one sorted line each.
+fn edge_dump(graph: &CompatGraph) -> String {
+    use std::fmt::Write as _;
     let mut edges: Vec<String> = graph
         .edges
         .iter()
@@ -297,6 +311,14 @@ fn kill_point_sweep_recovers_identically() {
             &oracle_service,
             &format!("kill point {k}"),
         );
+        // The recovered session *is* a fresh `prepare` of the live
+        // corpus: its own graph, not re-prepared, is the golden one.
+        let session = &recovered.session;
+        assert_eq!(
+            edge_dump(&session.graph(&session.config().synthesis)),
+            golden_edges(&oracle.session, &oracle.corpus),
+            "kill point {k}: the recovered session's own edges diverged"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }
@@ -308,7 +330,7 @@ fn kill_point_sweep_recovers_identically() {
 #[test]
 fn accepted_never_runs_ahead_of_the_wal() {
     let dir = tmp_dir("ack-order");
-    let (corpus, session, keys) = fixture(4);
+    let (corpus, session, keys) = fixture(4, pipe_cfg());
     let persistence = Persistence::create(PersistConfig::new(&dir), 0).expect("init persistence");
     let ing = DeltaIngestor::spawn_with_persistence(
         session,
@@ -403,9 +425,9 @@ fn torn_final_record_truncates_to_previous_state() {
 }
 
 /// Stable keys of a recovered state in live-table order — what a
-/// respawn over it passes as `initial_keys`. The recovered corpus is
-/// dense in live tables (rebuilt from the archive + replay with
-/// compaction), so keys line up 1:1.
+/// respawn over it passes as `initial_keys`. The recovered corpus
+/// holds exactly the live tables (the replayed corpus restricted to
+/// them), so keys line up 1:1.
 fn live_keys(recovered: &mapsynth_serve::Recovered) -> Vec<u64> {
     let mut entries: Vec<(u64, u32)> = recovered
         .key_of_table
@@ -415,6 +437,136 @@ fn live_keys(recovered: &mapsynth_serve::Recovered) -> Vec<u64> {
     entries.sort_by_key(|&(_, t)| t);
     assert_eq!(entries.len(), recovered.corpus.len());
     entries.into_iter().map(|(k, _)| k).collect()
+}
+
+/// A replayed removal with no compaction behind it — the default
+/// `compact_threshold` (0.5) never fires for one table of six — must
+/// still hand back a corpus holding only live tables, so the recovered
+/// state can seed a respawned ingestor (one key per corpus table); a
+/// second crash after one more delta then recovers to the uncrashed
+/// state.
+#[test]
+fn resume_after_replayed_removal_at_default_threshold() {
+    let cfg = PipelineConfig::default();
+    let deltas = [
+        DeltaRequest {
+            remove: vec![100],
+            ..Default::default()
+        },
+        DeltaRequest {
+            add: vec![add_table(500, "wave-d-0.org", "Elbonia")],
+            ..Default::default()
+        },
+    ];
+    let dir = tmp_dir("resume-default-threshold");
+    let pcfg = PersistConfig::new(&dir);
+
+    let (corpus, session, keys) = fixture(6, cfg.clone());
+    let ing = DeltaIngestor::spawn_with_persistence(
+        session,
+        corpus,
+        &keys,
+        Arc::new(MappingService::new()),
+        ing_cfg(),
+        Box::new(NoFaults),
+        Some(Persistence::create(pcfg.clone(), 0).expect("init persistence")),
+    )
+    .expect("spawn persisted ingestor");
+    ing.submit(deltas[0].clone());
+    let outcome = ing.shutdown();
+    assert_eq!(
+        outcome.stats.compactions, 0,
+        "one removal of six compacts nothing"
+    );
+    assert_eq!(outcome.stats.wal_records, 1);
+
+    let recovered = recover(&dir, cfg.clone(), Resolver::Algorithm4).expect("first recovery");
+    assert_eq!(
+        recovered.report.wal_replayed, 1,
+        "the removal lives in the WAL"
+    );
+    let keys = live_keys(&recovered);
+    assert_eq!(keys.len(), 5);
+    let ing = DeltaIngestor::spawn_with_persistence(
+        recovered.session,
+        recovered.corpus,
+        &keys,
+        Arc::clone(&recovered.service),
+        ing_cfg(),
+        Box::new(NoFaults),
+        Some(
+            Persistence::create(pcfg, recovered.report.next_seq - 1).expect("re-init persistence"),
+        ),
+    )
+    .expect("respawn over recovered state");
+    ing.submit(deltas[1].clone());
+    let outcome = ing.shutdown();
+    assert_eq!(outcome.stats.accepted, 1);
+    assert_eq!(outcome.stats.persist_errors, 0);
+
+    let again = recover(&dir, cfg.clone(), Resolver::Algorithm4).expect("second recovery");
+    assert_eq!(again.report.next_seq, 3);
+    let (oracle, oracle_service) = run_plain(6, cfg, deltas);
+    assert_state_matches(&again, &oracle, &oracle_service, "resume after removal");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A store whose base archive holds `fixture(4)`'s tables and whose
+/// WAL holds `record` as record 1 — written straight through
+/// [`Persistence::record_accepted`], past every check the ingestor
+/// would have run.
+fn store_with_record(tag: &str, record: &DeltaRequest) -> PathBuf {
+    let dir = tmp_dir(tag);
+    let mut persistence = Persistence::create(PersistConfig::new(&dir), 0).expect("init");
+    let tables: Vec<TableSpec> = (0..4u64)
+        .map(|i| add_table(100 + i, &format!("iso-{i}.org"), &format!("Zamunda-{i}")))
+        .collect();
+    persistence
+        .write_archive(&MappingService::new().snapshot(), &tables)
+        .expect("base archive");
+    assert_eq!(persistence.record_accepted(record).expect("append"), 1);
+    dir
+}
+
+/// A WAL record that passes its checksum but that the live worker
+/// would have rejected fails recovery with the worker's own typed
+/// rejection: replay runs the same checks, it does not trust the log.
+#[test]
+fn semantically_invalid_records_fail_replay_with_the_live_error() {
+    let patch_and_remove = DeltaRequest {
+        remove: vec![101],
+        patches: vec![PatchSpec {
+            key: 101,
+            deleted: vec![],
+            inserted: vec![vec!["Elbonia".into(), "ELB".into()]],
+        }],
+        ..Default::default()
+    };
+    let dir = store_with_record("invalid-patch-remove", &patch_and_remove);
+    match recover(&dir, pipe_cfg(), Resolver::Algorithm4) {
+        Err(PersistError::Replay {
+            seq: 1,
+            error: IngestError::Delta(DeltaError::PatchAndRemoveSameDelta { .. }),
+        }) => {}
+        Err(e) => panic!("expected a patch-and-remove replay rejection, got {e}"),
+        Ok(_) => panic!("a patch and a removal of one key must not replay"),
+    }
+    let _ = fs::remove_dir_all(&dir);
+
+    let unknown = DeltaRequest {
+        remove: vec![999],
+        ..Default::default()
+    };
+    let dir = store_with_record("invalid-unknown-key", &unknown);
+    match recover(&dir, pipe_cfg(), Resolver::Algorithm4) {
+        Err(PersistError::Replay {
+            seq: 1,
+            error: IngestError::UnknownKey { key: 999 },
+        }) => {}
+        Err(e) => panic!("expected an unknown-key replay rejection, got {e}"),
+        Ok(_) => panic!("a removal of an unknown key must not replay"),
+    }
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Recovery composes with resumption: a recovered state can seed a
